@@ -2,13 +2,12 @@
    bounded variant as a smoke step and uploads the artifact).
 
    One fixed-seed, fault-free stencil run per cluster size on the
-   hosts-vs-wallclock curve 256 -> 8192, timed twice: once with the
-   engine forced to a single event region (the pre-sharding layout) and
-   once with the auto-sized region count [Engine.recommended_regions]
-   picks. Region placement is purely structural — the two runs must
-   agree on every observable (outcome, simulated time, checksums,
-   backend counters) and the bench refuses to report timings otherwise,
-   making the curve double as a large-scale determinism check.
+   hosts-vs-wallclock curve 256 -> 8192. Each point must complete with
+   every rank's checksum equal to the stencil's reference, or the bench
+   refuses to report. Each point reports wall time, wall time per host,
+   the engine's executed events and events per second (from
+   [Engine.stats]), its peak queue length, and the minor and promoted
+   words the run allocated.
 
    Usage: scale.exe [OUT.json [MAX_HOSTS]] — CI passes a small
    MAX_HOSTS to bound the smoke run; the full curve is the default. *)
@@ -29,7 +28,7 @@ let isqrt n =
 let params =
   { Workload.Stencil.iterations = 10; compute_time = 0.5; msg_bytes = 10_000; jitter = 0.0 }
 
-let spec_for ~hosts ~regions =
+let spec_for ~hosts =
   let n_compute = hosts - service_hosts in
   let side = isqrt n_compute in
   let n_ranks = side * side in
@@ -52,23 +51,35 @@ let spec_for ~hosts ~regions =
       (Failmpi.Run.default_spec ~app ~cfg ~n_compute ~state_bytes:100_000) with
       Failmpi.Run.timeout = 600.0;
       trace_level = Simkern.Trace.Summary;
-      regions;
     } )
 
-let observables (r : Failmpi.Run.result) =
-  ( (match r.Failmpi.Run.outcome with
-    | Failmpi.Run.Completed t -> Printf.sprintf "completed:%.6f" t
-    | o -> Failmpi.Run.outcome_name o),
-    r.Failmpi.Run.injected_faults,
-    r.Failmpi.Run.checksums,
-    Failmpi.Backend.Metrics.counters r.Failmpi.Run.metrics )
+type point = {
+  n_ranks : int;
+  wall_ms : float;
+  result : Failmpi.Run.result;
+  stats : Simkern.Engine.stats;
+  minor_words : float;
+  promoted_words : float;
+}
 
-let timed ~hosts ~regions =
-  let n_ranks, spec = spec_for ~hosts ~regions in
+let timed ~hosts =
+  let n_ranks, spec = spec_for ~hosts in
+  let expected = Workload.Stencil.reference_checksum params ~n_ranks in
+  Gc.full_major ();
+  let gc0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
-  let r = Failmpi.Run.execute spec in
+  let cp = Failmpi.Run.prepare ~expected_checksum:expected spec in
+  let result = Failmpi.Run.resume_from cp in
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-  (n_ranks, wall_ms, r)
+  let gc1 = Gc.quick_stat () in
+  {
+    n_ranks;
+    wall_ms;
+    result;
+    stats = Simkern.Engine.stats (Failmpi.Run.checkpoint_engine cp);
+    minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
+    promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words;
+  }
 
 let () =
   let out, max_hosts =
@@ -91,33 +102,34 @@ let () =
        params.Workload.Stencil.iterations);
   List.iteri
     (fun i hosts ->
-      let auto = Simkern.Engine.recommended_regions ~hosts in
-      Printf.printf "scale: %d hosts (regions 1 vs %d)...\n%!" hosts auto;
-      let n_ranks, ms_one, r_one = timed ~hosts ~regions:(Some 1) in
-      let _, ms_auto, r_auto = timed ~hosts ~regions:None in
-      if observables r_one <> observables r_auto then begin
-        Printf.eprintf
-          "scale bench: %d hosts: auto-region run diverged from single-region run\n"
-          hosts;
+      Printf.printf "scale: %d hosts...\n%!" hosts;
+      let p = timed ~hosts in
+      let sim_time =
+        match p.result.Failmpi.Run.outcome with
+        | Failmpi.Run.Completed t -> t
+        | o ->
+            Printf.eprintf "scale bench: %d hosts did not complete (%s)\n" hosts
+              (Failmpi.Run.outcome_name o);
+            exit 1
+      in
+      if p.result.Failmpi.Run.checksum_ok <> Some true then begin
+        Printf.eprintf "scale bench: %d hosts: checksum mismatch\n" hosts;
         exit 1
       end;
-      let sim_time =
-        match r_one.Failmpi.Run.outcome with
-        | Failmpi.Run.Completed t -> Printf.sprintf "%.1f" t
-        | _ -> "null"
-      in
-      (match r_one.Failmpi.Run.outcome with
-      | Failmpi.Run.Completed _ -> ()
-      | o ->
-          Printf.eprintf "scale bench: %d hosts did not complete (%s)\n" hosts
-            (Failmpi.Run.outcome_name o);
-          exit 1);
+      let events = p.stats.Simkern.Engine.executed in
       Buffer.add_string buf
         (Printf.sprintf
-           "    { \"hosts\": %d, \"ranks\": %d, \"auto_regions\": %d,\n\
-           \      \"wall_ms_regions1\": %.1f, \"wall_ms_auto\": %.1f,\n\
-           \      \"sim_time_s\": %s, \"observables_identical\": true }%s\n"
-           hosts n_ranks auto ms_one ms_auto sim_time
+           "    { \"hosts\": %d, \"ranks\": %d, \"sim_time_s\": %.1f,\n\
+           \      \"wall_ms\": %.1f, \"wall_ms_per_host\": %.3f,\n\
+           \      \"events\": %d, \"events_per_s\": %.0f, \"peak_queue\": %d,\n\
+           \      \"minor_mwords\": %.1f, \"promoted_mwords\": %.1f,\n\
+           \      \"checksums_ok\": true }%s\n"
+           hosts p.n_ranks sim_time p.wall_ms
+           (p.wall_ms /. float_of_int hosts)
+           events
+           (float_of_int events /. (p.wall_ms /. 1e3))
+           p.stats.Simkern.Engine.peak_queue (p.minor_words /. 1e6)
+           (p.promoted_words /. 1e6)
            (if i = List.length curve - 1 then "" else ",")))
     curve;
   Buffer.add_string buf "  ]\n}\n";

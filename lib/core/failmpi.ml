@@ -36,11 +36,6 @@ module Run = struct
     seed : int64;
     timeout : float;
     trace_level : Trace.level;
-    regions : int option;
-        (* Event-region count for the engine; [None] picks
-           [Engine.recommended_regions] from the cluster size. Purely a
-           scheduling-structure knob: results are identical for any
-           value. *)
   }
 
   let default_spec ~app ~cfg ~n_compute ~state_bytes =
@@ -55,7 +50,6 @@ module Run = struct
       seed = 1L;
       timeout = 1500.0;
       trace_level = Trace.Full;
-      regions = None;
     }
 
   type outcome =
@@ -120,20 +114,7 @@ module Run = struct
            "Run.execute: n_compute (%d) cannot seat %d ranks — need at least one \
             compute host per rank"
            spec.n_compute n_ranks);
-    let regions =
-      match spec.regions with
-      (* Layouts add a handful of service hosts (coordinator, dispatcher,
-         scheduler, checkpoint servers) on top of the compute pool. *)
-      | None -> Engine.recommended_regions ~hosts:(spec.n_compute + 6)
-      | Some r ->
-          if r < 1 then
-            invalid_arg
-              (Printf.sprintf "Run.execute: regions must be >= 1 (got %d)" r);
-          r
-    in
-    let eng =
-      Engine.create ~seed:spec.seed ~trace_level:spec.trace_level ~regions ()
-    in
+    let eng = Engine.create ~seed:spec.seed ~trace_level:spec.trace_level () in
     let fci =
       match spec.scenario with
       | None -> None

@@ -57,17 +57,10 @@ module Run : sig
             protocol chatter and keeps milestone events only — the
             allocation-light setting quantitative campaigns use. Never
             affects the simulation itself, only what is recorded. *)
-    regions : int option;
-        (** engine event-region (shard) count; [None] (the default)
-            derives it from the cluster size via
-            {!Simkern.Engine.recommended_regions}. Purely a scheduling
-            data-structure knob — outcomes, traces and checksums are
-            identical for every value. *)
   }
 
   (** [default_spec ~app ~cfg ~n_compute ~state_bytes] fills paper
-      defaults (1500 s timeout, no scenario, seed 1, [Full] trace,
-      auto-sized regions). *)
+      defaults (1500 s timeout, no scenario, seed 1, [Full] trace). *)
   val default_spec :
     app:Mpivcl.App.t ->
     cfg:Mpivcl.Config.t ->
@@ -147,8 +140,8 @@ module Run : sig
 
   (** [execute ?expected_checksum spec] runs one experiment.
 
-      @raise Invalid_argument on absurd inputs: [cfg.n_ranks <= 0],
-        [n_compute < cfg.n_ranks], or [regions = Some r] with [r < 1]. *)
+      @raise Invalid_argument on absurd inputs: [cfg.n_ranks <= 0] or
+        [n_compute < cfg.n_ranks]. *)
   val execute : ?expected_checksum:int -> spec -> result
 
   (** {2 Checkpointed execution}

@@ -5,43 +5,27 @@
     execute in scheduling order (the queue is keyed by [(time, sequence)]),
     so a run is a pure function of the seed.
 
-    {2 Region sharding}
+    {2 The event queue}
 
-    Internally the queue is sharded into per-region heaps (one per
-    region, regions typically mapping to simulated hosts or groups of
-    hosts) merged by a lowest-[(time, region-head sequence)] tournament.
-    Sequence numbers are stamped {e globally}, so the merged execution
-    order is identical for every region count — sharding changes where
-    events are stored, never when they run, and a fixed-seed run is
-    byte-identical at 1 region and at 128. Shard heaps stay small as the
-    cluster grows (each holds only its region's events), which is what
-    lets one engine carry 10k+ simulated hosts. *)
+    One 4-ary min-heap private to the engine: time keys in a
+    [Float.Array], sequence numbers in an [int array] and the events
+    beside them, compared by inlined float/int code. Popping reads the
+    top slot directly and allocates nothing. Per-region sharding of the
+    queue behind a lazy merge heap was removed: it never changed
+    execution order and measured slower at every size (six BT-49
+    Figure 5 runs took 8.1–9.2 s on 8 shards against 6.2–6.7 s on one,
+    release build on a 2-vCPU VM). *)
 
 type t
 
 (** Cancellable handle on a scheduled event. *)
 type handle
 
-(** [create ?seed ?trace_level ?regions ()] returns a fresh engine with
-    its clock at [0.]. [trace_level] gates what the engine trace records
-    (default {!Trace.Full}); campaigns that only read aggregates run at
-    {!Trace.Summary} to skip per-message chatter. [regions] (default
-    [1]) is the number of event-queue shards; any value yields the same
-    execution, larger values keep per-shard heaps small in big clusters.
-    Raises [Invalid_argument] if [regions < 1]. *)
-val create : ?seed:int64 -> ?trace_level:Trace.level -> ?regions:int -> unit -> t
-
-(** [recommended_regions ~hosts] is a good shard count for a simulation
-    of [hosts] hosts: 1 for small clusters, growing roughly as the
-    square root of the host count, capped at 128. *)
-val recommended_regions : hosts:int -> int
-
-(** [regions t] is the number of event-queue shards. *)
-val regions : t -> int
-
-(** [current_region t] is the region of the event currently executing
-    (0 outside [run]); it is the default region for new events. *)
-val current_region : t -> int
+(** [create ?seed ?trace_level ()] returns a fresh engine with its clock
+    at [0.]. [trace_level] gates what the engine trace records (default
+    {!Trace.Full}); campaigns that only read aggregates run at
+    {!Trace.Summary} to skip per-message chatter. *)
+val create : ?seed:int64 -> ?trace_level:Trace.level -> unit -> t
 
 (** [now t] is the current simulated time, in seconds. *)
 val now : t -> float
@@ -76,33 +60,44 @@ val record_fmt :
 (** [fresh_pid t] returns a process identifier unique within this engine. *)
 val fresh_pid : t -> int
 
-(** [schedule ?region t ?delay f] schedules [f] to run at [now t +. delay]
+(** [schedule t ?delay f] schedules [f] to run at [now t +. delay]
     (default [0.], i.e. after all previously scheduled events for the
-    current instant). [region] places the event's storage (reduced modulo
-    the shard count — host ids can be passed directly); it defaults to
-    the scheduling event's region, so work stays in the shard of the host
-    that spawned it. Raises [Invalid_argument] on negative delay or
-    region. *)
-val schedule : ?region:int -> t -> ?delay:float -> (unit -> unit) -> handle
+    current instant). Raises [Invalid_argument] on negative delay. *)
+val schedule : t -> ?delay:float -> (unit -> unit) -> handle
 
-(** [schedule_at ?region t ~time f] schedules [f] at absolute [time].
+(** [schedule_at t ~time f] schedules [f] at absolute [time].
     Raises [Invalid_argument] if [time] is in the past. *)
-val schedule_at : ?region:int -> t -> time:float -> (unit -> unit) -> handle
+val schedule_at : t -> time:float -> (unit -> unit) -> handle
 
 (** [cancel h] prevents the event from running if it has not run yet.
     Cancelled events become queue tombstones; once they outnumber the
-    live half of a non-trivial queue the engine compacts them away (all
-    shards, rebuilding the merge), so long runs with many cancelled
-    timeouts keep O(log live-per-shard) push/pop. *)
+    live half of a queue of at least 64 events the engine compacts them
+    away, so long runs with many cancelled timeouts keep O(log live)
+    push/pop. *)
 val cancel : handle -> unit
 
 (** [pending t] is the number of not-yet-executed, not-cancelled
     scheduled events. O(1). *)
 val pending : t -> int
 
-(** [queue_size t] is the raw event-queue size, summed over shards,
-    including not-yet-compacted tombstones (diagnostics / tests). *)
+(** [queue_size t] is the raw event-queue size, including
+    not-yet-compacted tombstones (diagnostics / tests). *)
 val queue_size : t -> int
+
+(** {2 Self-counters} *)
+
+(** Work the engine has done since {!create}. The fields are plain
+    counters the engine updates in place; reading them allocates
+    nothing. {!restore} does not rewind them. *)
+type stats = private {
+  mutable executed : int;  (** live events run (tombstones excluded) *)
+  mutable peak_queue : int;  (** largest {!queue_size} reached *)
+  mutable cancels : int;  (** pending events {!cancel}led *)
+  mutable compactions : int;  (** tombstone compactions *)
+}
+
+(** [stats t] is [t]'s counter record, the same one on every call. *)
+val stats : t -> stats
 
 (** [run ?until ?stop_before t] executes events in order until the queue
     is empty, the engine is halted, the next event lies beyond [until]

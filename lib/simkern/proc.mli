@@ -39,12 +39,9 @@ type state =
 val pp_exit_reason : Format.formatter -> exit_reason -> unit
 val pp_state : Format.formatter -> state -> unit
 
-(** [spawn engine ?region ?name body] creates a process whose first step
-    runs at the current instant (after already-scheduled events).
-    [region] pins the start event's queue shard (see
-    {!Engine.schedule}); {!Simos.Cluster} passes the host id so a host's
-    processes live in that host's shard. *)
-val spawn : Engine.t -> ?region:int -> ?name:string -> (unit -> unit) -> t
+(** [spawn engine ?name body] creates a process whose first step runs at
+    the current instant (after already-scheduled events). *)
+val spawn : Engine.t -> ?name:string -> (unit -> unit) -> t
 
 val pid : t -> int
 val name : t -> string

@@ -99,9 +99,7 @@ let release_slot t slot =
 let spawn_on t ~host:id ?name body =
   let h = host t id in
   let name = match name with Some n -> n | None -> Printf.sprintf "task@%s" h.host_name in
-  (* The host id doubles as the event region, so a host's processes are
-     stored in that host's queue shard. *)
-  let p = Proc.spawn t.eng ~region:id ~name body in
+  let p = Proc.spawn t.eng ~name body in
   let slot = alloc_slot t in
   t.slot_proc.(slot) <- Some p;
   t.slot_host.(slot) <- id;

@@ -7,7 +7,11 @@
    - golden equivalence: for each registered backend a fixed-seed run
      must reproduce the outcome, completion time, injected-fault count
      and checksum set captured from the pre-refactor per-protocol
-     Run.execute (devtools/golden_capture.exe regenerates the table). *)
+     Run.execute (devtools/golden_capture.exe regenerates the table);
+   - golden-sharded: the same runs pinned, down to every backend
+     counter, to the fingerprints of the former region-sharded engine;
+   - engine events: the exact number of events the engine executes in
+     one fixed-seed golden run per backend. *)
 
 let check = Alcotest.check
 let check_bool = check Alcotest.bool
@@ -241,20 +245,17 @@ let goldens =
       ] );
   ]
 
-let run_golden ?regions ~protocol g =
+let golden_case_spec ~protocol g =
   let n_machines =
     match protocol with Mpivcl.Config.Replication _ -> 10 | _ -> 8
   in
   let scenario = Fail_lang.Paper_scenarios.frequency ~n_machines ~period:15 in
-  Failmpi.Run.execute
-    {
-      (golden_spec ~protocol ~n_ranks:4 ~n_machines ~scenario) with
-      Failmpi.Run.seed = g.g_seed;
-      regions;
-    }
+  { (golden_spec ~protocol ~n_ranks:4 ~n_machines ~scenario) with Failmpi.Run.seed = g.g_seed }
 
-let check_golden ?regions name ~protocol g =
-  let r = run_golden ?regions ~protocol g in
+let run_golden ~protocol g = Failmpi.Run.execute (golden_case_spec ~protocol g)
+
+let check_golden name ~protocol g =
+  let r = run_golden ~protocol g in
   let ctx fmt = Printf.sprintf "%s seed=%Ld %s" name g.g_seed fmt in
   check_str (ctx "outcome") g.g_outcome (Failmpi.Run.outcome_name r.Failmpi.Run.outcome);
   check_str (ctx "time") g.g_time
@@ -272,43 +273,109 @@ let check_golden ?regions name ~protocol g =
 let test_golden name protocol cases () =
   List.iter (fun g -> ignore (check_golden name ~protocol g)) cases
 
-(* Region placement is purely structural: with the event queue split
-   into 5 shards the same seeds must still land byte-for-byte on the
-   pre-refactor captures above. *)
+(* Full fingerprint of a run: outcome, exact completion time, injected
+   faults, checksums and every backend counter. *)
+let run_fingerprint r =
+  Printf.sprintf "%s|%s|%d|%s|%s"
+    (Failmpi.Run.outcome_name r.Failmpi.Run.outcome)
+    (match r.Failmpi.Run.outcome with
+    | Failmpi.Run.Completed t | Failmpi.Run.Degraded { at = t; _ } -> Printf.sprintf "%.9f" t
+    | _ -> "-")
+    r.Failmpi.Run.injected_faults
+    (String.concat ","
+       (List.map (fun (rk, c) -> Printf.sprintf "%d:%d" rk c) r.Failmpi.Run.checksums))
+    (String.concat ","
+       (List.map
+          (fun (k, v) -> Printf.sprintf "%s=%d" k v)
+          (Backend.Metrics.counters r.Failmpi.Run.metrics)))
+
+(* The golden runs above, pinned down to every backend counter to the
+   fingerprints the region-sharded engine produced at 5 regions (the
+   same at 1 region), so the single queue is held to the sharded runs
+   as well as to the pre-refactor captures. The group keeps its name
+   from that engine. *)
+let wave_counters ~recoveries ~waves =
+  Printf.sprintf "recoveries=%d,committed_waves=%d,confused=0,failovers=0,respawns=0"
+    recoveries waves
+
+let all_ranks_fp = "0:1334555200,1:1334555200,2:1334555200,3:1334555200"
+
+let sharded_fingerprints =
+  [
+    ( "vcl",
+      [
+        (1L, "completed|53.935735718|3|" ^ all_ranks_fp ^ "|" ^ wave_counters ~recoveries:3 ~waves:3);
+        (7L, "completed|51.763581106|3|" ^ all_ranks_fp ^ "|" ^ wave_counters ~recoveries:3 ~waves:3);
+      ] );
+    ( "blocking",
+      [
+        (1L, "completed|53.935735718|3|" ^ all_ranks_fp ^ "|" ^ wave_counters ~recoveries:3 ~waves:3);
+        (7L, "completed|51.763581106|3|" ^ all_ranks_fp ^ "|" ^ wave_counters ~recoveries:3 ~waves:3);
+      ] );
+    ( "v2",
+      [
+        (1L, "completed|49.945721138|3|" ^ all_ranks_fp ^ "|" ^ wave_counters ~recoveries:3 ~waves:0);
+        (7L, "completed|44.125085489|2|" ^ all_ranks_fp ^ "|" ^ wave_counters ~recoveries:2 ~waves:0);
+      ] );
+    ( "replication",
+      [
+        ( 1L,
+          "completed|31.187576841|2|" ^ all_ranks_fp
+          ^ "|recoveries=0,committed_waves=0,confused=0,failovers=2,respawns=1,exhausted=0" );
+        ( 7L,
+          "completed|31.164740564|2|" ^ all_ranks_fp
+          ^ "|recoveries=0,committed_waves=0,confused=0,failovers=2,respawns=1,exhausted=0" );
+      ] );
+  ]
+
 let test_golden_sharded name protocol cases () =
-  List.iter (fun g -> ignore (check_golden ~regions:5 name ~protocol g)) cases
+  let pinned = List.assoc name sharded_fingerprints in
+  List.iter
+    (fun g ->
+      check_str
+        (Printf.sprintf "%s seed=%Ld fingerprint" name g.g_seed)
+        (List.assoc g.g_seed pinned)
+        (run_fingerprint (run_golden ~protocol g)))
+    cases
+
+(* Engine self-counters: the exact number of events one fixed-seed
+   golden run executes, per backend. Trimming closures in Proc/Net must
+   not silently add or drop simulation events; a change that does so on
+   purpose re-pins these counts and says why. *)
+let executed_events spec =
+  let cp = Failmpi.Run.prepare spec in
+  ignore (Failmpi.Run.resume_from cp);
+  (Simkern.Engine.stats (Failmpi.Run.checkpoint_engine cp)).Simkern.Engine.executed
+
+let ulfm_golden_spec () =
+  let protocol = Mpivcl.Config.Ulfm { spares = 1 } in
+  let scenario = Fail_lang.Paper_scenarios.frequency ~n_machines:8 ~period:15 in
+  { (golden_spec ~protocol ~n_ranks:4 ~n_machines:8 ~scenario) with Failmpi.Run.seed = 1L }
+
+(* Counted on the region-sharded engine this queue replaced, at its
+   default layout and at 5 regions alike. *)
+let event_counts =
+  [ ("vcl", 7973); ("blocking", 7981); ("v2", 6949); ("replication", 14648); ("ulfm", 7217) ]
 
 (* ULFM's pinned goldens live in test_mpiulfm (its outcomes are Degraded
-   shapes, not the table above); here pin shard-placement neutrality for
-   the fifth backend: a faulty shrink run is identical at any region
-   count, down to every counter. *)
+   shapes, not the table above); here its faulty seed-1 shrink run is
+   pinned to the fingerprint the sharded engine produced at 1 and 5
+   regions alike. *)
 let test_ulfm_sharded_equivalence () =
-  let fp regions =
-    let protocol = Mpivcl.Config.Ulfm { spares = 1 } in
-    let scenario = Fail_lang.Paper_scenarios.frequency ~n_machines:8 ~period:15 in
-    let r =
-      Failmpi.Run.execute
-        {
-          (golden_spec ~protocol ~n_ranks:4 ~n_machines:8 ~scenario) with
-          Failmpi.Run.seed = 1L;
-          regions = Some regions;
-        }
-    in
-    Printf.sprintf "%s|%s|%d|%s|%s"
-      (Failmpi.Run.outcome_name r.Failmpi.Run.outcome)
-      (match r.Failmpi.Run.outcome with
-      | Failmpi.Run.Completed t | Failmpi.Run.Degraded { at = t; _ } ->
-          Printf.sprintf "%.9f" t
-      | _ -> "-")
-      r.Failmpi.Run.injected_faults
-      (String.concat ","
-         (List.map (fun (rk, c) -> Printf.sprintf "%d:%d" rk c) r.Failmpi.Run.checksums))
-      (String.concat ","
-         (List.map
-            (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-            (Backend.Metrics.counters r.Failmpi.Run.metrics)))
+  check_str "ulfm seed=1 fingerprint"
+    ("degraded|32.141415360|2|" ^ all_ranks_fp
+   ^ "|recoveries=2,committed_waves=0,confused=0,failovers=0,respawns=0,agree_ballots=3,\
+      ranks_adopted=1,spares_promoted=0")
+    (run_fingerprint (Failmpi.Run.execute (ulfm_golden_spec ())))
+
+let test_executed_events name expected () =
+  let spec =
+    if name = "ulfm" then ulfm_golden_spec ()
+    else
+      let _, protocol, cases = List.find (fun (n, _, _) -> n = name) goldens in
+      golden_case_spec ~protocol (List.hd cases)
   in
-  check_str "ulfm: 5 regions = 1 region" (fp 1) (fp 5)
+  check_int (name ^ " seed 1: executed events") expected (executed_events spec)
 
 let test_metrics_not_cross_wired () =
   (* The pre-refactor Run.execute hard-coded the counters of the other
@@ -361,4 +428,9 @@ let () =
             Alcotest.test_case "ulfm region equivalence" `Quick
               test_ulfm_sharded_equivalence;
           ] );
+      ( "engine-events",
+        List.map
+          (fun (name, expected) ->
+            Alcotest.test_case name `Quick (test_executed_events name expected))
+          event_counts );
     ]

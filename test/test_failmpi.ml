@@ -132,28 +132,7 @@ let test_run_validation () =
     (Invalid_argument
        "Run.execute: n_compute (3) cannot seat 4 ranks — need at least one compute \
         host per rank")
-    (fun () -> ignore (Failmpi.Run.execute { spec with Failmpi.Run.n_compute = 3 }));
-  Alcotest.check_raises "zero regions"
-    (Invalid_argument "Run.execute: regions must be >= 1 (got 0)")
-    (fun () -> ignore (Failmpi.Run.execute { spec with Failmpi.Run.regions = Some 0 }))
-
-let test_regions_equivalent () =
-  (* Region placement is structural: a faulty run splits identically at
-     any region count, down to recovery and wave counters. *)
-  let scenario = Fail_lang.Paper_scenarios.frequency ~n_machines:8 ~period:15 in
-  let run regions =
-    let r =
-      Failmpi.Run.execute ~expected_checksum:expected
-        { (small_spec ~scenario ()) with Failmpi.Run.regions }
-    in
-    ( (match r.Failmpi.Run.outcome with
-      | Failmpi.Run.Completed t -> Printf.sprintf "completed %.9f" t
-      | o -> Failmpi.Run.outcome_name o),
-      r.Failmpi.Run.injected_faults,
-      r.Failmpi.Run.checksums,
-      Failmpi.Backend.Metrics.counters r.Failmpi.Run.metrics )
-  in
-  check_bool "4 regions = 1 region" true (run (Some 1) = run (Some 4))
+    (fun () -> ignore (Failmpi.Run.execute { spec with Failmpi.Run.n_compute = 3 }))
 
 let test_determinism () =
   (* The whole experiment is a pure function of the seed. *)
@@ -478,7 +457,6 @@ let () =
           Alcotest.test_case "scenario error raises" `Quick test_scenario_error_raises;
           Alcotest.test_case "outcome names" `Quick test_outcome_names;
           Alcotest.test_case "spec validation" `Quick test_run_validation;
-          Alcotest.test_case "regions equivalent" `Quick test_regions_equivalent;
           Alcotest.test_case "determinism" `Quick test_determinism;
         ] );
       ( "harness",

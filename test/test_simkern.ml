@@ -60,38 +60,6 @@ let test_rng_shuffle_permutation () =
   check_bool "still a permutation" true (sorted = Array.init 100 Fun.id)
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~compare:Int.compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  check (Alcotest.list Alcotest.int) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain [])
-
-let test_heap_empty () =
-  let h = Heap.create ~compare:Int.compare in
-  check_bool "empty" true (Heap.is_empty h);
-  check_bool "peek none" true (Heap.peek h = None);
-  check_bool "pop none" true (Heap.pop h = None)
-
-let test_heap_duplicates () =
-  let h = Heap.create ~compare:Int.compare in
-  List.iter (Heap.push h) [ 4; 4; 4; 1; 1 ];
-  check_int "length" 5 (Heap.length h);
-  check_bool "min" true (Heap.pop h = Some 1)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~compare:Int.compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
-(* ------------------------------------------------------------------ *)
 (* Engine *)
 
 let test_engine_time_order () =
@@ -498,21 +466,6 @@ let test_trace_queries () =
   Trace.clear t;
   check_int "cleared" 0 (Trace.length t)
 
-let test_heap_filter_in_place () =
-  let h = Heap.create ~compare:Int.compare in
-  List.iter (Heap.push h) (List.init 20 (fun i -> 20 - i));
-  Heap.filter_in_place h ~keep:(fun x -> x mod 2 = 0);
-  check_int "half survive" 10 (Heap.length h);
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  check (Alcotest.list Alcotest.int) "pop order intact"
-    [ 2; 4; 6; 8; 10; 12; 14; 16; 18; 20 ]
-    (drain []);
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Heap.filter_in_place h ~keep:(fun _ -> false);
-  check_bool "drop all" true (Heap.is_empty h)
-
 let test_engine_tombstone_compaction () =
   let eng = Engine.create () in
   let executed = ref 0 in
@@ -530,21 +483,20 @@ let test_engine_tombstone_compaction () =
   check_int "only live events ran" 40 !executed;
   check_int "drained" 0 (Engine.pending eng)
 
-(* Event regions: sharding is structural only — placement must never
-   change execution order, and cross-region merge must stay exactly the
-   single-queue schedule order. *)
+(* Orderings the region-sharded queue had to preserve across its
+   shards, kept as ordering regressions for the single queue under the
+   group's historical name ("regions"). *)
 
 (* Full-stack fingerprint (fibers, mailbox, RNG-driven sleeps); also
-   used by the same-seed determinism property below. Workers land in
-   distinct regions when [regions > 1]. *)
-let sim_fingerprint ?(regions = 1) seed =
-  let eng = Engine.create ~seed ~regions () in
+   used by the same-seed determinism property below. *)
+let sim_fingerprint seed =
+  let eng = Engine.create ~seed () in
   let mb = Mailbox.create () in
   let log = Buffer.create 64 in
   let rng = Rng.split (Engine.rng eng) in
   for i = 1 to 5 do
     ignore
-      (Proc.spawn eng ~region:(i mod regions) ~name:(Printf.sprintf "w%d" i) (fun () ->
+      (Proc.spawn eng ~name:(Printf.sprintf "w%d" i) (fun () ->
            Proc.sleep (Rng.float rng 10.0);
            Mailbox.send mb i))
   done;
@@ -557,115 +509,113 @@ let sim_fingerprint ?(regions = 1) seed =
   ignore (Engine.run eng);
   Buffer.contents log
 
-let test_engine_regions_same_instant_order () =
-  (* Events scheduled for the same instant from different regions run in
-     global schedule (sequence) order, not grouped by region. *)
-  let eng = Engine.create ~regions:4 () in
-  check_int "four regions" 4 (Engine.regions eng);
+let test_regions_fingerprint_identical () =
+  (* Two runs from one seed produce the byte-identical fiber/mailbox
+     fingerprint, and it is the one the sharded engine produced at 1, 2,
+     7 and 128 regions. *)
+  let reference = "1@5.080616;3@5.817104;4@8.393606;2@8.808800;5@9.662478;" in
+  check Alcotest.string "first run" reference (sim_fingerprint 99L);
+  check Alcotest.string "second run" reference (sim_fingerprint 99L)
+
+let test_regions_same_instant_order () =
+  (* Events for one instant run in global schedule (sequence) order,
+     whoever scheduled them: twelve root events first, then the children
+     that four earlier events scheduled for that same instant, in the
+     order they were scheduled. *)
+  let eng = Engine.create () in
   let log = ref [] in
   for i = 1 to 12 do
-    Engine.schedule ~region:(i mod 4) eng (fun () -> log := i :: !log) |> ignore
+    Engine.schedule_at eng ~time:10.0 (fun () -> log := i :: !log) |> ignore
+  done;
+  for p = 0 to 3 do
+    Engine.schedule_at eng ~time:(float_of_int p) (fun () ->
+        for c = 1 to 3 do
+          let id = 100 + (10 * p) + c in
+          Engine.schedule_at eng ~time:10.0 (fun () -> log := id :: !log) |> ignore
+        done)
+    |> ignore
   done;
   ignore (Engine.run eng);
-  check (Alcotest.list Alcotest.int) "global fifo across regions"
-    (List.init 12 (fun i -> i + 1))
+  check (Alcotest.list Alcotest.int) "global fifo at one instant"
+    (List.init 12 (fun i -> i + 1)
+    @ List.concat_map (fun p -> List.init 3 (fun c -> 100 + (10 * p) + c + 1)) [ 0; 1; 2; 3 ])
     (List.rev !log)
 
-let test_engine_regions_interleaved_times () =
-  (* Timestamps interleaved across regions pop in time order with the
-     schedule order breaking ties — same as one flat queue. *)
-  let eng = Engine.create ~regions:3 () in
+let test_regions_interleaved_times () =
+  (* Interleaved timestamps pop in time order, schedule order breaking
+     ties. *)
+  let eng = Engine.create () in
   let log = ref [] in
   List.iteri
-    (fun i (region, delay) ->
-      Engine.schedule ~region eng ~delay (fun () -> log := i :: !log) |> ignore)
-    [ (0, 3.0); (1, 1.0); (2, 2.0); (0, 1.0); (2, 1.0); (1, 3.0) ];
+    (fun i delay -> Engine.schedule eng ~delay (fun () -> log := i :: !log) |> ignore)
+    [ 3.0; 1.0; 2.0; 1.0; 1.0; 3.0 ];
   ignore (Engine.run eng);
   check (Alcotest.list Alcotest.int) "time order, then schedule order"
     [ 1; 3; 4; 2; 0; 5 ] (List.rev !log)
 
-let test_engine_regions_inherited () =
-  (* A nested schedule without an explicit region inherits the region of
-     the event that scheduled it. *)
-  let eng = Engine.create ~regions:4 () in
-  let seen = ref (-1) in
-  Engine.schedule ~region:2 eng (fun () ->
-      check_int "ambient region" 2 (Engine.current_region eng);
-      Engine.schedule eng ~delay:1.0 (fun () -> seen := Engine.current_region eng)
-      |> ignore)
-  |> ignore;
-  ignore (Engine.run eng);
-  check_int "inherited region" 2 !seen
-
-let test_engine_regions_fingerprint_identical () =
-  (* The full fiber/mailbox fingerprint is byte-identical whatever the
-     region count: sharding never leaks into scheduling decisions. *)
-  let fp regions = sim_fingerprint ~regions 99L in
-  let reference = fp 1 in
-  List.iter
-    (fun regions ->
-      check Alcotest.string
-        (Printf.sprintf "regions=%d identical" regions)
-        reference (fp regions))
-    [ 2; 7; 128 ]
-
-let test_engine_regions_compaction () =
-  (* Tombstone compaction with populated shards: cancelled events are
-     reclaimed and the cross-shard merge stays correct afterwards. *)
-  let eng = Engine.create ~regions:4 () in
-  let executed = ref 0 in
+let test_regions_compaction () =
+  (* Compaction rebuilds the queue; the survivors must still run in
+     (time, seq) order afterwards, ties included. *)
+  let eng = Engine.create () in
+  let log = ref [] in
   let handles =
     List.init 100 (fun i ->
-        Engine.schedule ~region:(i mod 4) eng ~delay:(float_of_int (i + 1)) (fun () ->
-            incr executed))
+        Engine.schedule eng ~delay:(float_of_int (1 + (i mod 7))) (fun () ->
+            log := i :: !log))
   in
-  check_int "queue holds all" 100 (Engine.queue_size eng);
-  List.iteri (fun i h -> if i < 60 then Engine.cancel h) handles;
-  check_int "pending is live count" 40 (Engine.pending eng);
-  check_bool "compaction shrank the queue" true (Engine.queue_size eng < 100);
+  List.iteri (fun i h -> if i mod 5 <> 0 then Engine.cancel h) handles;
+  (* The 51st tombstone is more than half of 100 queued events: the queue
+     compacts to 49, and the 29 later tombstones stay below the 64-event
+     floor. *)
+  check_int "compacted once" 1 (Engine.stats eng).Engine.compactions;
+  check_int "pending is live count" 20 (Engine.pending eng);
+  check_int "queue after compaction" 49 (Engine.queue_size eng);
   ignore (Engine.run eng);
-  check_int "only live events ran" 40 !executed;
-  check_int "drained" 0 (Engine.pending eng)
+  let survivors = List.filter (fun i -> i mod 5 = 0) (List.init 100 Fun.id) in
+  let expected =
+    List.stable_sort (fun a b -> compare (a mod 7) (b mod 7)) survivors
+  in
+  check (Alcotest.list Alcotest.int) "time order, then schedule order" expected
+    (List.rev !log)
 
-let test_engine_regions_cancel_shard_head () =
-  (* Cancelling the head of one shard must not starve or reorder the
-     others. *)
-  let eng = Engine.create ~regions:2 () in
+let test_regions_cancel_shard_head () =
+  (* Cancelling the event at the head of the queue must not starve or
+     reorder the others. *)
+  let eng = Engine.create () in
   let log = ref [] in
-  let a = Engine.schedule ~region:0 eng ~delay:1.0 (fun () -> log := "a" :: !log) in
-  Engine.schedule ~region:1 eng ~delay:2.0 (fun () -> log := "b" :: !log) |> ignore;
-  Engine.schedule ~region:0 eng ~delay:3.0 (fun () -> log := "c" :: !log) |> ignore;
+  let a = Engine.schedule eng ~delay:1.0 (fun () -> log := "a" :: !log) in
+  Engine.schedule eng ~delay:2.0 (fun () -> log := "b" :: !log) |> ignore;
+  Engine.schedule eng ~delay:3.0 (fun () -> log := "c" :: !log) |> ignore;
   Engine.cancel a;
   ignore (Engine.run eng);
   check (Alcotest.list Alcotest.string) "survivors in order" [ "b"; "c" ]
     (List.rev !log);
   check_float "ran to last event" 3.0 (Engine.now eng)
 
-let test_engine_regions_validation () =
-  Alcotest.check_raises "zero regions rejected"
-    (Invalid_argument "Engine.create: regions must be >= 1 (got 0)") (fun () ->
-      ignore (Engine.create ~regions:0 ()));
-  let eng = Engine.create ~regions:3 () in
-  Alcotest.check_raises "negative region rejected"
-    (Invalid_argument "Engine.schedule: region must be >= 0 (got -1)") (fun () ->
-      ignore (Engine.schedule ~region:(-1) eng (fun () -> ())));
-  (* Host ids beyond the shard count are folded in, so callers can pass
-     host ids directly. *)
-  let ran = ref false in
-  Engine.schedule ~region:1001 eng (fun () -> ran := true) |> ignore;
+let test_engine_stats () =
+  let eng = Engine.create () in
+  let handles =
+    List.init 100 (fun i -> Engine.schedule eng ~delay:(float_of_int i) ignore)
+  in
+  List.iteri (fun i h -> if i mod 3 = 0 then Engine.cancel h) handles;
+  (* A second cancel of the same event is not counted. *)
+  Engine.cancel (List.hd handles);
+  let before = Engine.snapshot eng in
   ignore (Engine.run eng);
-  check_bool "large region folded" true !ran
-
-let test_recommended_regions () =
-  check_int "small clusters stay unsharded" 1 (Engine.recommended_regions ~hosts:16);
-  check_int "one host" 1 (Engine.recommended_regions ~hosts:1);
-  check_bool "mid-size cluster shards" true (Engine.recommended_regions ~hosts:256 > 1);
-  check_bool "capped" true (Engine.recommended_regions ~hosts:10_000_000 <= 128);
-  List.iter
-    (fun hosts ->
-      let r = Engine.recommended_regions ~hosts in
-      check_bool (Printf.sprintf "sane at %d hosts" hosts) true (r >= 1 && r <= 128))
-    [ 17; 100; 1024; 8192; 100_000 ]
+  let s = Engine.stats eng in
+  check_int "executed" 66 s.Engine.executed;
+  check_int "peak queue" 100 s.Engine.peak_queue;
+  check_int "cancels" 34 s.Engine.cancels;
+  check_int "no compaction below half" 0 s.Engine.compactions;
+  check_bool "same record" true (Engine.stats eng == s);
+  (* Work counters survive a rewind: replaying adds to them. *)
+  Engine.restore eng before;
+  ignore (Engine.run eng);
+  check_int "replay counted" 132 s.Engine.executed;
+  let eng = Engine.create () in
+  let handles = List.init 100 (fun i -> Engine.schedule eng ~delay:(float_of_int i) ignore) in
+  List.iteri (fun i h -> if i < 60 then Engine.cancel h) handles;
+  check_int "compacted once" 1 (Engine.stats eng).Engine.compactions
 
 let test_trace_level_gate () =
   let t = Trace.create ~level:Trace.Summary () in
@@ -851,7 +801,7 @@ let test_ivar_read_after_fill () =
 
 (* ------------------------------------------------------------------ *)
 (* Determinism property: same seed, same trace ([sim_fingerprint] is
-   defined with the region tests above). *)
+   defined with the engine tests above). *)
 
 let prop_determinism =
   QCheck.Test.make ~name:"same seed gives identical execution" ~count:50
@@ -859,6 +809,349 @@ let prop_determinism =
     (fun seed ->
       let seed = Int64.of_int seed in
       String.equal (sim_fingerprint seed) (sim_fingerprint seed))
+
+(* ------------------------------------------------------------------ *)
+(* Engine queue against a list model
+
+   Random programs of engine operations run side by side on the engine
+   and on a plain list of entries kept sorted by [(time, seq)]. The
+   model mirrors the engine's contract, tombstones and compaction rule
+   included; after every operation the execution log, [pending], [now],
+   [queue_size] and the executed-event counter must agree. Offsets come
+   from a small set so that same-instant ties are common. *)
+
+type retime_to = Same | Offset of float | Tie_with of int
+
+type op =
+  | Sched of float * float option  (** offset from now; delay of a child event *)
+  | Burst of int * float  (** that many events at one offset *)
+  | Cancel of int  (** handle slot (modulo the slots so far) *)
+  | Cancel_span of int * int  (** first slot, count *)
+  | Retime of int * retime_to
+  | Run of float option * int option  (** [~until] offset, [~stop_before] slot *)
+  | Run_one
+  | Snapshot
+  | Restore
+
+let show_op = function
+  | Sched (o, c) ->
+      Printf.sprintf "Sched(%g%s)" o
+        (match c with Some d -> Printf.sprintf ",child %g" d | None -> "")
+  | Burst (n, o) -> Printf.sprintf "Burst(%d,%g)" n o
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Cancel_span (k, n) -> Printf.sprintf "Cancel_span(%d,%d)" k n
+  | Retime (k, Same) -> Printf.sprintf "Retime(%d,same)" k
+  | Retime (k, Offset o) -> Printf.sprintf "Retime(%d,+%g)" k o
+  | Retime (k, Tie_with j) -> Printf.sprintf "Retime(%d,tie %d)" k j
+  | Run (u, b) ->
+      Printf.sprintf "Run(%s,%s)"
+        (match u with Some o -> Printf.sprintf "until +%g" o | None -> "-")
+        (match b with Some k -> Printf.sprintf "stop %d" k | None -> "-")
+  | Run_one -> "Run_one"
+  | Snapshot -> "Snapshot"
+  | Restore -> "Restore"
+
+let op_gen =
+  let open QCheck.Gen in
+  let offset = oneofl [ 0.0; 0.0; 0.5; 1.0; 2.0; 3.0 ] in
+  let slot = int_bound 200 in
+  frequency
+    [
+      (8, map2 (fun o c -> Sched (o, c)) offset (opt (oneofl [ 0.0; 1.0 ])));
+      (1, map2 (fun n o -> Burst (n, o)) (int_range 1 80) offset);
+      (5, map (fun k -> Cancel k) slot);
+      (2, map2 (fun k n -> Cancel_span (k, n)) slot (int_range 1 60));
+      ( 3,
+        map2
+          (fun k r -> Retime (k, r))
+          slot
+          (oneof [ return Same; map (fun o -> Offset o) offset; map (fun j -> Tie_with j) slot ]) );
+      (2, map2 (fun u b -> Run (u, b)) (opt offset) (opt slot));
+      (2, return Run_one);
+      (1, return Snapshot);
+      (1, return Restore);
+    ]
+
+let program_gen = QCheck.Gen.(list_size (int_range 1 150) op_gen)
+
+type m_state = M_pending | M_cancelled | M_done
+
+type m_entry = {
+  m_time : float;
+  m_seq : int;
+  m_id : int;
+  m_child : float option;
+  mutable m_state : m_state;
+}
+
+type model = {
+  mutable q : m_entry list;  (* sorted by (time, seq); tombstones included *)
+  mutable m_now : float;
+  mutable m_next_seq : int;
+  mutable m_live : int;
+  mutable m_tombs : int;
+  mutable m_executed : int;
+  mutable m_log : int list;
+}
+
+let m_before a b = a.m_time < b.m_time || (a.m_time = b.m_time && a.m_seq < b.m_seq)
+
+let m_insert m e =
+  let rec ins = function
+    | x :: rest when not (m_before e x) -> x :: ins rest
+    | l -> e :: l
+  in
+  m.q <- ins m.q
+
+let m_schedule m ~time ~id ~child =
+  let e = { m_time = time; m_seq = m.m_next_seq; m_id = id; m_child = child; m_state = M_pending } in
+  m.m_next_seq <- m.m_next_seq + 1;
+  m.m_live <- m.m_live + 1;
+  m_insert m e;
+  e
+
+let child_id id = 1_000_000 + id
+
+(* Executes an entry just taken off the model queue. *)
+let m_execute m e =
+  match e.m_state with
+  | M_cancelled -> m.m_tombs <- m.m_tombs - 1
+  | M_done -> ()
+  | M_pending ->
+      e.m_state <- M_done;
+      m.m_live <- m.m_live - 1;
+      m.m_now <- e.m_time;
+      m.m_executed <- m.m_executed + 1;
+      m.m_log <- e.m_id :: m.m_log;
+      Option.iter
+        (fun d ->
+          ignore (m_schedule m ~time:(m.m_now +. d) ~id:(child_id e.m_id) ~child:None))
+        e.m_child
+
+let m_cancel m e =
+  if e.m_state = M_pending then begin
+    e.m_state <- M_cancelled;
+    m.m_live <- m.m_live - 1;
+    m.m_tombs <- m.m_tombs + 1;
+    let size = List.length m.q in
+    if size >= 64 && m.m_tombs > size / 2 then begin
+      m.q <- List.filter (fun e -> e.m_state = M_pending) m.q;
+      m.m_tombs <- 0
+    end
+  end
+
+let m_run m ~until ~stop =
+  let rec loop () =
+    match m.q with
+    | [] -> `Quiescent
+    | e :: _ when e.m_time > until ->
+        m.m_now <- until;
+        `Deadline
+    | e :: _ when (match stop with Some s -> s == e | None -> false) && e.m_state = M_pending
+      ->
+        `Breakpoint
+    | e :: rest ->
+        m.q <- rest;
+        m_execute m e;
+        loop ()
+  in
+  loop ()
+
+let rec m_run_one m =
+  match m.q with
+  | [] -> false
+  | e :: rest ->
+      m.q <- rest;
+      let live = e.m_state = M_pending in
+      m_execute m e;
+      live || m_run_one m
+
+(* Runs [ops] on a fresh engine and on the model. Returns the first
+   disagreement, or the engine's stats and whether a restore and a
+   breakpoint happened. *)
+let run_program ops =
+  let eng = Engine.create () in
+  let elog = ref [] in
+  let m =
+    { q = []; m_now = 0.0; m_next_seq = 0; m_live = 0; m_tombs = 0; m_executed = 0; m_log = [] }
+  in
+  (* Handle slots: the engine handle and the model entry it mirrors. *)
+  let slots = Hashtbl.create 64 and n_slots = ref 0 and next_id = ref 0 in
+  let saved = ref None and restored = ref false and breakpoints = ref 0 in
+  let sched offset child =
+    let time = Engine.now eng +. offset and id = !next_id in
+    incr next_id;
+    let thunk () =
+      elog := id :: !elog;
+      Option.iter
+        (fun d ->
+          ignore (Engine.schedule eng ~delay:d (fun () -> elog := child_id id :: !elog)))
+        child
+    in
+    let h = Engine.schedule_at eng ~time thunk in
+    let e = m_schedule m ~time ~id ~child in
+    Hashtbl.replace slots !n_slots (h, e);
+    incr n_slots
+  in
+  let slot k = if !n_slots = 0 then None else Some (k mod !n_slots) in
+  let run_result = function
+    | `Quiescent -> "quiescent"
+    | `Halted -> "halted"
+    | `Deadline -> "deadline"
+    | `Breakpoint ->
+        incr breakpoints;
+        "breakpoint"
+  in
+  let step op =
+    match op with
+    | Sched (o, c) ->
+        sched o c;
+        Ok ()
+    | Burst (n, o) ->
+        for _ = 1 to n do
+          sched o None
+        done;
+        Ok ()
+    | Cancel k ->
+        Option.iter
+          (fun k ->
+            let h, e = Hashtbl.find slots k in
+            Engine.cancel h;
+            m_cancel m e)
+          (slot k);
+        Ok ()
+    | Cancel_span (k, n) ->
+        Option.iter
+          (fun k ->
+            for i = k to min (!n_slots - 1) (k + n - 1) do
+              let h, e = Hashtbl.find slots i in
+              Engine.cancel h;
+              m_cancel m e
+            done)
+          (slot k);
+        Ok ()
+    | Retime (k, target) -> (
+        match slot k with
+        | None -> Ok ()
+        | Some k -> (
+            let h, e = Hashtbl.find slots k in
+            let time =
+              match target with
+              | Same -> e.m_time
+              | Offset o -> m.m_now +. o
+              | Tie_with j ->
+                  let _, e' = Hashtbl.find slots (j mod !n_slots) in
+                  Float.max m.m_now e'.m_time
+            in
+            let engine =
+              match Engine.retime h ~time with
+              | h' -> Ok h'
+              | exception Invalid_argument msg -> Error msg
+            in
+            match (engine, e.m_state) with
+            | Ok h', M_pending when time = e.m_time ->
+                if h' == h then Ok () else Error "retime to the same time replaced the handle"
+            | Ok h', M_pending ->
+                e.m_state <- M_cancelled;
+                m.m_tombs <- m.m_tombs + 1;
+                let e' = { e with m_time = time; m_state = M_pending } in
+                m_insert m e';
+                Hashtbl.replace slots k (h', e');
+                Ok ()
+            | Error _, (M_cancelled | M_done) -> Ok ()
+            | Ok _, (M_cancelled | M_done) -> Error "retime of a dead event accepted"
+            | Error msg, M_pending -> Error ("retime refused: " ^ msg)))
+    | Run (until, stop) ->
+        let until = match until with Some o -> m.m_now +. o | None -> infinity in
+        let stop = Option.map (Hashtbl.find slots) (Option.bind stop slot) in
+        let got =
+          run_result
+            (match stop with
+            | Some (h, _) -> Engine.run ~until ~stop_before:h eng
+            | None -> Engine.run ~until eng)
+        in
+        let want = run_result (m_run m ~until ~stop:(Option.map snd stop)) in
+        if got = want then Ok () else Error (Printf.sprintf "run: engine %s, model %s" got want)
+    | Run_one ->
+        let got = Engine.run_one eng and want = m_run_one m in
+        if got = want then Ok () else Error "run_one disagrees"
+    | Snapshot ->
+        saved :=
+          Some
+            ( Engine.snapshot eng,
+              List.map (fun e -> (e, e.m_state)) m.q,
+              (m.m_now, m.m_next_seq, m.m_live, m.m_tombs),
+              Hashtbl.copy slots,
+              !n_slots );
+        Ok ()
+    | Restore ->
+        Option.iter
+          (fun (snap, q, (now, next_seq, live, tombs), sl, n) ->
+            restored := true;
+            Engine.restore eng snap;
+            List.iter (fun (e, st) -> e.m_state <- st) q;
+            m.q <- List.map fst q;
+            m.m_now <- now;
+            m.m_next_seq <- next_seq;
+            m.m_live <- live;
+            m.m_tombs <- tombs;
+            (* Handles created after the snapshot are not in the
+               restored queue: drop them. *)
+            Hashtbl.reset slots;
+            Hashtbl.iter (Hashtbl.replace slots) sl;
+            n_slots := n)
+          !saved;
+        Ok ()
+  in
+  let agree op =
+    let fail what = Error (Printf.sprintf "after %s: %s" (show_op op) what) in
+    if !elog <> m.m_log then fail "execution order"
+    else if Engine.pending eng <> m.m_live then
+      fail (Printf.sprintf "pending %d, model %d" (Engine.pending eng) m.m_live)
+    else if Engine.now eng <> m.m_now then
+      fail (Printf.sprintf "now %g, model %g" (Engine.now eng) m.m_now)
+    else if Engine.queue_size eng <> List.length m.q then
+      fail
+        (Printf.sprintf "queue_size %d, model %d" (Engine.queue_size eng) (List.length m.q))
+    else if (Engine.stats eng).Engine.executed <> m.m_executed then fail "executed count"
+    else Ok ()
+  in
+  let rec go = function
+    | [] -> Ok (Engine.stats eng, !restored, !breakpoints)
+    | op :: rest -> (
+        match step op with
+        | Error e -> Error (Printf.sprintf "%s: %s" (show_op op) e)
+        | Ok () -> ( match agree op with Error _ as e -> e | Ok () -> go rest))
+  in
+  go ops
+
+let prop_engine_model =
+  QCheck.Test.make ~name:"engine queue matches list model" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       ~shrink:QCheck.Shrink.list program_gen)
+    (fun ops ->
+      match run_program ops with
+      | Ok _ -> true
+      | Error e -> QCheck.Test.fail_report e)
+
+let test_engine_model_coverage () =
+  (* The generator must reach the paths the model checks: compaction,
+     restore and stop_before breakpoints. A fixed stream of programs
+     keeps this deterministic. *)
+  let rand = Random.State.make [| 12 |] in
+  let compactions = ref 0 and restores = ref 0 and breakpoints = ref 0 in
+  List.iter
+    (fun ops ->
+      match run_program ops with
+      | Ok (stats, restored, bps) ->
+          compactions := !compactions + stats.Engine.compactions;
+          if restored then incr restores;
+          breakpoints := !breakpoints + bps
+      | Error e -> Alcotest.fail e)
+    (QCheck.Gen.generate ~rand ~n:200 program_gen);
+  check_bool "compaction reached" true (!compactions > 0);
+  check_bool "restore reached" true (!restores > 0);
+  check_bool "breakpoint reached" true (!breakpoints > 0)
 
 let prop_sleep_ordering =
   QCheck.Test.make ~name:"processes wake in sleep order" ~count:100
@@ -877,7 +1170,7 @@ let prop_sleep_ordering =
            (List.tl woke))
 
 let () =
-  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_heap_sorts; prop_determinism; prop_sleep_ordering ] in
+  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_engine_model; prop_determinism; prop_sleep_ordering ] in
   Alcotest.run "simkern"
     [
       ( "rng",
@@ -891,13 +1184,6 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
           Alcotest.test_case "exponential positive" `Quick test_rng_exponential_positive;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
-          Alcotest.test_case "filter in place" `Quick test_heap_filter_in_place;
         ] );
       ( "engine",
         [
@@ -918,21 +1204,18 @@ let () =
           Alcotest.test_case "run one" `Quick test_engine_run_one;
           Alcotest.test_case "retime keeps slot" `Quick test_engine_retime_keeps_slot;
           Alcotest.test_case "snapshot restore" `Quick test_engine_snapshot_restore;
+          Alcotest.test_case "stats" `Quick test_engine_stats;
+          Alcotest.test_case "model coverage" `Quick test_engine_model_coverage;
         ] );
       ( "regions",
         [
           Alcotest.test_case "same instant global order" `Quick
-            test_engine_regions_same_instant_order;
-          Alcotest.test_case "interleaved times" `Quick
-            test_engine_regions_interleaved_times;
-          Alcotest.test_case "region inherited" `Quick test_engine_regions_inherited;
+            test_regions_same_instant_order;
+          Alcotest.test_case "interleaved times" `Quick test_regions_interleaved_times;
           Alcotest.test_case "fingerprint identical" `Quick
-            test_engine_regions_fingerprint_identical;
-          Alcotest.test_case "sharded compaction" `Quick test_engine_regions_compaction;
-          Alcotest.test_case "cancel shard head" `Quick
-            test_engine_regions_cancel_shard_head;
-          Alcotest.test_case "validation" `Quick test_engine_regions_validation;
-          Alcotest.test_case "recommended regions" `Quick test_recommended_regions;
+            test_regions_fingerprint_identical;
+          Alcotest.test_case "sharded compaction" `Quick test_regions_compaction;
+          Alcotest.test_case "cancel shard head" `Quick test_regions_cancel_shard_head;
         ] );
       ( "proc",
         [
