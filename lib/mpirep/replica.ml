@@ -4,6 +4,7 @@ module Net = Simnet.Net
 module Message = Mpivcl.Message
 module Config = Mpivcl.Config
 module App = Mpivcl.App
+module Seen = Mpivcl.Seen
 
 type app_request =
   | A_send of Message.app_msg
@@ -115,7 +116,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           let peer_conns : (int * int, Rmsg.t Net.conn) Hashtbl.t = Hashtbl.create 32 in
           let buffer : Message.app_msg list ref = ref [] in
           let parked : (int * int * int Ivar.t) list ref = ref [] in
-          let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
+          let seen = Seen.create () in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref (Array.make env.Renv.app.App.state_size 0) in
           (* per-destination-rank sequencing and send log; ssns are shared
@@ -280,7 +281,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
               img_buffer = !buffer;
               img_redelivery = !redelivery;
               img_logged = [];
-              img_seen = Hashtbl.fold (fun key () acc -> key :: acc) seen [];
+              img_seen = Seen.to_list seen;
               img_received = consumed_bounds ();
               img_send_log =
                 Hashtbl.fold (fun dst entries acc -> (dst, entries) :: acc) send_log [];
@@ -290,7 +291,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           in
           let install_image (img : Message.image) =
             committed_state := Array.copy img.Message.img_state;
-            List.iter (fun key -> Hashtbl.replace seen key ()) img.Message.img_seen;
+            Seen.add_list seen img.Message.img_seen;
             List.iter
               (fun (src, ssn) -> Hashtbl.replace received src ssn)
               img.Message.img_received;
@@ -384,11 +385,11 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                 let src = m.Message.src in
                 let bound = Option.value ~default:0 (Hashtbl.find_opt received src) in
                 if ssn > bound then Hashtbl.replace received src ssn;
-                if Hashtbl.mem seen (src, m.Message.tag) then
+                if Seen.mem seen ~src ~tag:m.Message.tag then
                   tracef ~level:Trace.Full "duplicate-dropped" "%d->%d tag %d ssn %d" src m.Message.dst
                     m.Message.tag ssn
                 else begin
-                  Hashtbl.replace seen (src, m.Message.tag) ();
+                  Seen.add seen ~src ~tag:m.Message.tag;
                   deliver m
                 end;
                 loop ()

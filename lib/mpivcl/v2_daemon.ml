@@ -216,7 +216,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           let peer_conns : (int, Message.t Net.conn) Hashtbl.t = Hashtbl.create 16 in
           let buffer : Message.app_msg list ref = ref [] in
           let parked : (int * int * int Ivar.t) list ref = ref [] in
-          let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
+          let seen = Seen.create () in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref [||] in
           (* sender-based logging state *)
@@ -238,7 +238,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           | Some img ->
               committed_state := Array.copy img.Message.img_state;
               local_wave := img.Message.img_wave;
-              List.iter (fun key -> Hashtbl.replace seen key ()) img.Message.img_seen;
+              Seen.add_list seen img.Message.img_seen;
               List.iter (fun (src, ssn) -> Hashtbl.replace received src ssn)
                 img.Message.img_received;
               List.iter
@@ -354,7 +354,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                     img_buffer = !buffer;
                     img_redelivery = !redelivery;
                     img_logged = [];
-                    img_seen = Hashtbl.fold (fun key () acc -> key :: acc) seen [];
+                    img_seen = Seen.to_list seen;
                     img_received = consumed_bounds ();
                     img_send_log =
                       Hashtbl.fold (fun dst entries acc -> (dst, entries) :: acc) send_log [];
@@ -492,11 +492,11 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 let src = m.Message.src in
                 let bound = Option.value ~default:0 (Hashtbl.find_opt received src) in
                 if ssn > bound then Hashtbl.replace received src ssn;
-                if Hashtbl.mem seen (src, m.Message.tag) then
+                if Seen.mem seen ~src ~tag:m.Message.tag then
                   trace "duplicate-dropped"
                     (Printf.sprintf "%d->%d tag %d" src m.Message.dst m.Message.tag)
                 else begin
-                  Hashtbl.replace seen (src, m.Message.tag) ();
+                  Seen.add seen ~src ~tag:m.Message.tag;
                   deliver m
                 end;
                 loop ()

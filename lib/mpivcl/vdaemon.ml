@@ -252,7 +252,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           let buffer : Message.app_msg list ref = ref [] in
           (* parked receive requests from the computation process *)
           let parked : (int * int * int Ivar.t) list ref = ref [] in
-          let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
+          let seen = Seen.create () in
           let redelivery : Message.app_msg list ref = ref [] in
           let committed_state = ref [||] in
           let last_completed_wave = ref 0 in
@@ -268,9 +268,9 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
           | Some img ->
               committed_state := Array.copy img.Message.img_state;
               last_completed_wave := img.Message.img_wave;
-              List.iter (fun key -> Hashtbl.replace seen key ()) img.Message.img_seen;
+              Seen.add_list seen img.Message.img_seen;
               List.iter
-                (fun (m : Message.app_msg) -> Hashtbl.replace seen (m.src, m.tag) ())
+                (fun (m : Message.app_msg) -> Seen.add seen ~src:m.src ~tag:m.tag)
                 img.Message.img_logged;
               buffer :=
                 img.Message.img_redelivery @ img.Message.img_buffer @ img.Message.img_logged);
@@ -402,7 +402,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 ck_state = Array.copy !committed_state;
                 ck_buffer = !buffer;
                 ck_redelivery = !redelivery;
-                ck_seen = Hashtbl.fold (fun key () acc -> key :: acc) seen [];
+                ck_seen = Seen.to_list seen;
               }
             in
             ckpt := Some c;
@@ -572,11 +572,11 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 trace ~level:Trace.Full "peer-lost" (string_of_int peer);
                 loop ()
             | D_peer (_, Some (Message.App m)) ->
-                (if Hashtbl.mem seen (m.Message.src, m.Message.tag) then
+                (if Seen.mem seen ~src:m.Message.src ~tag:m.Message.tag then
                    trace "duplicate-dropped"
                      (Printf.sprintf "%d->%d tag %d" m.Message.src m.Message.dst m.Message.tag)
                  else begin
-                   Hashtbl.replace seen (m.Message.src, m.Message.tag) ();
+                   Seen.add seen ~src:m.Message.src ~tag:m.Message.tag;
                    (match !ckpt with
                    | Some c when IntSet.mem m.Message.src c.ck_channels ->
                        c.ck_logged <- m :: c.ck_logged

@@ -7,14 +7,31 @@
 
     {2 The event queue}
 
-    One 4-ary min-heap private to the engine: time keys in a
-    [Float.Array], sequence numbers in an [int array] and the events
-    beside them, compared by inlined float/int code. Popping reads the
-    top slot directly and allocates nothing. Per-region sharding of the
-    queue behind a lazy merge heap was removed: it never changed
-    execution order and measured slower at every size (six BT-49
-    Figure 5 runs took 8.1–9.2 s on 8 shards against 6.2–6.7 s on one,
-    release build on a 2-vCPU VM). *)
+    Two structures private to the engine hold the queued events. Every
+    event has a key: its sequence number, with a retime generation
+    packed below it (see {!retime}). Execution order is the total order
+    on [(time, key)], whichever structure an event sits in.
+
+    - A 4-ary min-heap: time keys in a [Float.Array], keys in an
+      [int array] and the events beside them, compared by inlined
+      float/int code. Popping reads the top slot directly and allocates
+      nothing.
+    - The same-instant lane: a FIFO ring of the events scheduled at
+      exactly {!now} with a fresh sequence number ([schedule] with no
+      delay, so every process wake-up). Each such event sorts after
+      everything already in the lane, so the ring stays ordered without
+      comparisons and a zero-delay event costs O(1) instead of a heap
+      push and pop. The next event is the lane head unless the heap top
+      sorts before it (an event scheduled earlier for this instant).
+      Popped ring slots are cleared so their closures can be collected.
+
+    The lane relies on the clock never moving backwards while it holds
+    events: {!run} never rewinds the clock to a deadline behind it, and
+    {!restore}, which may move the clock back, puts every restored event
+    in the heap. Per-region sharding of the heap behind a lazy merge
+    heap was removed: it never changed execution order and measured
+    slower at every size (six BT-49 Figure 5 runs took 8.1–9.2 s on 8
+    shards against 6.2–6.7 s on one, release build on a 2-vCPU VM). *)
 
 type t
 
@@ -101,7 +118,8 @@ val stats : t -> stats
 
 (** [run ?until ?stop_before t] executes events in order until the queue
     is empty, the engine is halted, the next event lies beyond [until]
-    (the clock is then advanced to [until]), or the next live event is
+    (the clock is then advanced to [until], unless [until] is already
+    behind it: a deadline never rewinds the clock), or the next live event is
     exactly [stop_before] — the breakpoint event is left queued, so the
     caller can {!retime} it, fork the process, or execute it with
     {!run_one}. Returns the reason the loop ended. *)
@@ -124,8 +142,11 @@ val run_one : t -> bool
     the explorer's fork scheduler needs when it re-aims a scenario timer
     at a sibling plan's injection delay. Returns the replacement handle
     (or [h] itself when [time] is unchanged); the old handle becomes a
-    tombstone. Raises [Invalid_argument] if [h] is no longer pending or
-    [time] is in the past. *)
+    tombstone. The replacement's key carries the next retime generation
+    below the shared sequence number, so should it land on its
+    tombstone's instant the tombstone still pops first. Raises
+    [Invalid_argument] if [h] is no longer pending, [time] is in the
+    past, or the event was already retimed 2{^20}-1 times. *)
 val retime : handle -> time:float -> handle
 
 (** [halt t] stops a [run] in progress after the current event. *)

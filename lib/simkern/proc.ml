@@ -4,6 +4,17 @@ type exit_reason = Exit_normal | Exit_killed | Exit_crashed of exn
 
 type state = Embryo | Running | Waiting | Exited of exit_reason
 
+(* The continuation a blocked process is parked on, its answer type
+   hidden: [kill] only needs it to discontinue. *)
+type parked = Not_parked | Parked : ('a, unit) Effect.Deep.continuation -> parked
+
+(* A suspension lives in the process record rather than in per-suspension
+   closures: [parked] holds its continuation until a waker or [kill]
+   decides it, and [epoch] counts decided suspensions. A waker remembers
+   the epoch it was made in and is stale once the two differ, so a waker
+   that lost a race (a [recv_timeout] timer after the message won, or
+   the message after the timer won) returns [false] even after its
+   process has suspended again. *)
 type t = {
   pid : int;
   name : string;
@@ -12,11 +23,13 @@ type t = {
   mutable doomed : bool;  (* kill requested, not yet taken effect *)
   mutable frozen : bool;
   mutable pending : (unit -> unit) list;  (* wake-ups buffered while frozen, oldest first *)
-  mutable canceller : (unit -> unit) option;  (* discontinues the current suspension *)
+  mutable parked : parked;  (* the undecided suspension, if any *)
+  mutable epoch : int;  (* suspensions decided so far *)
   mutable exit_hooks : (exit_reason -> unit) list;  (* newest first *)
 }
 
 type _ Effect.t += Suspend : (('a -> bool) -> unit) -> 'a Effect.t
+type _ Effect.t += Sleep : float -> unit Effect.t
 type _ Effect.t += Self : t Effect.t
 
 let pp_exit_reason ppf = function
@@ -45,27 +58,43 @@ let finish p reason =
   | Exited _ -> ()
   | Embryo | Running | Waiting ->
       p.state <- Exited reason;
-      p.canceller <- None;
+      p.parked <- Not_parked;
       p.pending <- [];
       let hooks = List.rev p.exit_hooks in
       p.exit_hooks <- [];
       List.iter (fun hook -> hook reason) hooks
 
-(* Deliver a resumption step for [p]. Flags are re-checked at execution
-   time, so a kill or freeze issued between scheduling and delivery is
-   honoured. *)
-let rec deliver p step =
-  Engine.schedule p.engine (fun () -> run_step p step) |> ignore
-
-and run_step p step =
+(* Continue [k] with [v]: the one event a wake-up schedules. Flags are
+   re-checked at execution time, so a kill or freeze issued between
+   scheduling and delivery is honoured; a frozen process buffers the
+   resumption until [unfreeze]. *)
+let rec resume p k v =
   match p.state with
   | Exited _ -> ()
   | Embryo | Running | Waiting ->
-      if p.frozen then p.pending <- p.pending @ [ (fun () -> run_step p step) ]
+      if p.frozen then p.pending <- p.pending @ [ (fun () -> resume p k v) ]
       else begin
         p.state <- Running;
-        step ()
+        Effect.Deep.continue k v
       end
+
+(* Offer [v] to the suspension of [p] that was current at [epoch]. *)
+let wake p epoch k v =
+  if p.epoch <> epoch then false
+  else
+    match p.state with
+    | Exited _ -> false
+    | Embryo | Running | Waiting ->
+        p.epoch <- epoch + 1;
+        p.parked <- Not_parked;
+        Engine.schedule p.engine (fun () -> resume p k v) |> ignore;
+        true
+
+(* Block [p] on [k]; returns the epoch its wakers must carry. *)
+let park p k =
+  p.state <- Waiting;
+  p.parked <- Parked k;
+  p.epoch
 
 let handler p =
   let open Effect.Deep in
@@ -84,41 +113,32 @@ let handler p =
             Some
               (fun (k : (a, unit) continuation) ->
                 if p.doomed then discontinue k Killed
-                else begin
-                  p.state <- Waiting;
-                  let decided = ref false in
-                  p.canceller <-
-                    Some
-                      (fun () ->
-                        if not !decided then begin
-                          decided := true;
-                          p.canceller <- None;
-                          (* Kill overrides freeze: discontinue directly. *)
-                          Engine.schedule p.engine (fun () ->
-                              match p.state with
-                              | Exited _ -> ()
-                              | Embryo | Running | Waiting ->
-                                  p.state <- Running;
-                                  discontinue k Killed)
-                          |> ignore
-                        end);
-                  let waker v =
-                    if !decided then false
-                    else
-                      match p.state with
-                      | Exited _ ->
-                          decided := true;
-                          false
-                      | Embryo | Running | Waiting ->
-                          decided := true;
-                          p.canceller <- None;
-                          deliver p (fun () -> continue k v);
-                          true
-                  in
-                  register waker
-                end)
+                else
+                  let epoch = park p k in
+                  register (fun v -> wake p epoch k v))
+        | Sleep dt ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                if p.doomed then discontinue k Killed
+                else
+                  let epoch = park p k in
+                  let eng = p.engine in
+                  Engine.schedule_at eng ~time:(Engine.now eng +. dt) (fun () ->
+                      ignore (wake p epoch k ()))
+                  |> ignore)
         | _ -> None);
   }
+
+let rec start p body =
+  match p.state with
+  | Exited _ -> ()
+  | Embryo | Running | Waiting ->
+      if p.frozen then p.pending <- p.pending @ [ (fun () -> start p body) ]
+      else if p.doomed then finish p Exit_killed
+      else begin
+        p.state <- Running;
+        Effect.Deep.match_with body () (handler p)
+      end
 
 let spawn eng ?name body =
   let pid = Engine.fresh_pid eng in
@@ -132,21 +152,12 @@ let spawn eng ?name body =
       doomed = false;
       frozen = false;
       pending = [];
-      canceller = None;
+      parked = Not_parked;
+      epoch = 0;
       exit_hooks = [];
     }
   in
-  let start () =
-    match p.state with
-    | Exited _ -> ()
-    | Embryo | Running | Waiting ->
-        if p.doomed then finish p Exit_killed
-        else begin
-          p.state <- Running;
-          Effect.Deep.match_with body () (handler p)
-        end
-  in
-  Engine.schedule eng (fun () -> run_step p start) |> ignore;
+  Engine.schedule eng (fun () -> start p body) |> ignore;
   p
 
 let kill p =
@@ -154,9 +165,20 @@ let kill p =
   | Exited _ -> ()
   | Embryo | Running | Waiting -> (
       p.doomed <- true;
-      match p.canceller with
-      | Some cancel -> cancel ()
-      | None -> (
+      match p.parked with
+      | Parked k ->
+          (* Decide the suspension so its wakers go stale; kill overrides
+             freeze, so the discontinuation bypasses [resume]. *)
+          p.epoch <- p.epoch + 1;
+          p.parked <- Not_parked;
+          Engine.schedule p.engine (fun () ->
+              match p.state with
+              | Exited _ -> ()
+              | Embryo | Running | Waiting ->
+                  p.state <- Running;
+                  Effect.Deep.discontinue k Killed)
+          |> ignore
+      | Not_parked -> (
           match p.state with
           | Embryo ->
               (* Not started yet: nothing to unwind. *)
@@ -184,9 +206,7 @@ let suspend register = Effect.perform (Suspend register)
 
 let sleep dt =
   if dt < 0.0 then invalid_arg "Proc.sleep: negative duration";
-  let p = self () in
-  suspend (fun waker ->
-      Engine.schedule p.engine ~delay:dt (fun () -> ignore (waker ())) |> ignore)
+  Effect.perform (Sleep dt)
 
 let yield () = sleep 0.0
 

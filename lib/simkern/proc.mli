@@ -84,9 +84,10 @@ val yield : unit -> unit
 
 (** [suspend register] blocks until the waker passed to [register] is
     invoked with a value. The waker returns [true] iff the value was
-    accepted (a process killed or already woken rejects it), letting
-    callers re-route a rejected value. The waker may be invoked from any
-    context, at most one acceptance occurs. *)
+    accepted (a process killed or already woken rejects it, even once it
+    has suspended again), letting callers re-route a rejected value. The
+    waker may be invoked from any context, at most one acceptance
+    occurs. *)
 val suspend : (('a -> bool) -> unit) -> 'a
 
 (** [join p] blocks until [p] exits and returns its exit reason. Returns

@@ -497,8 +497,7 @@ and 'a conn = {
   mutable c_waiters : ('a recv_result -> bool) list;  (* oldest first *)
   mutable c_closed_local : bool;
   mutable c_closed_remote : bool;
-  mutable c_tx_free_at : float;
-  mutable c_last_arrival : float;
+  c_clock : clock;
   mutable c_peer : 'a conn option;
   mutable c_owner_hooked : bool;
   (* Reliable-transport state (unused while the network is pristine). *)
@@ -507,6 +506,14 @@ and 'a conn = {
   mutable c_unacked : (int * int * 'a recv_result) list;  (* seq, size, payload *)
   mutable c_retx_timer : Engine.handle option;
   mutable c_attempts : int;
+}
+
+(* Per-direction serialization state. An all-float record is stored
+   flat, so updating it on every message allocates nothing; mutable
+   float fields of [conn] itself would be boxed on each store. *)
+and clock = {
+  mutable tx_free_at : float;  (* when the NIC finishes the last message *)
+  mutable last_arrival : float;  (* keeps arrivals FIFO per direction *)
 }
 
 let create eng ?(config = default_config) () =
@@ -538,9 +545,10 @@ let restore net s =
   Hashtbl.reset net.listeners;
   List.iter (fun (k, l) -> Hashtbl.replace net.listeners k l) s.ns_bindings
 
-let link_params net ~src ~dst =
-  if src = dst then (net.cfg.local_latency, net.cfg.local_bandwidth)
-  else (net.cfg.latency, net.cfg.bandwidth)
+let link_latency net ~src ~dst = if src = dst then net.cfg.local_latency else net.cfg.latency
+
+let link_bandwidth net ~src ~dst =
+  if src = dst then net.cfg.local_bandwidth else net.cfg.bandwidth
 
 let listen net ~host ~port =
   if Hashtbl.mem net.listeners (host, port) then
@@ -670,29 +678,28 @@ and transmit conn ~size item =
   match conn.c_peer with
   | None -> ()
   | Some peer ->
-      let eng = conn.c_net.eng in
-      let latency, bandwidth =
-        link_params conn.c_net ~src:conn.c_local_host ~dst:conn.c_peer_host
-      in
-      let now = Engine.now eng in
-      let start = Float.max now conn.c_tx_free_at in
-      let tx_time = float_of_int size /. bandwidth in
-      conn.c_tx_free_at <- start +. tx_time;
-      let p = conn.c_net.perturb in
+      let net = conn.c_net and src = conn.c_local_host and dst = conn.c_peer_host in
+      let clock = conn.c_clock in
+      let now = Engine.now net.eng in
+      (* Plain comparisons rather than [Float.max], which is not inlined
+         and would box its arguments; no time here is ever NaN. *)
+      let start = if clock.tx_free_at > now then clock.tx_free_at else now in
+      let tx_time = float_of_int size /. link_bandwidth net ~src ~dst in
+      clock.tx_free_at <- start +. tx_time;
+      let p = net.perturb in
       let fate =
-        if Perturb.touched p then
-          Perturb.sample p ~src:conn.c_local_host ~dst:conn.c_peer_host
-            ~kind:(kind_of_wire item)
+        if Perturb.touched p then Perturb.sample p ~src ~dst ~kind:(kind_of_wire item)
         else `Deliver 0.0
       in
       (match fate with
       | `Drop -> ()
       | `Deliver extra ->
+          let arrival = start +. tx_time +. link_latency net ~src ~dst +. extra in
           let arrival =
-            Float.max (start +. tx_time +. latency +. extra) conn.c_last_arrival
+            if clock.last_arrival > arrival then clock.last_arrival else arrival
           in
-          conn.c_last_arrival <- arrival;
-          Engine.schedule_at eng ~time:arrival (fun () -> arrive peer item) |> ignore)
+          clock.last_arrival <- arrival;
+          Engine.schedule_at net.eng ~time:arrival (fun () -> arrive peer item) |> ignore)
 
 let close conn =
   if not conn.c_closed_local then begin
@@ -735,8 +742,7 @@ let make_pair net ~host_a ~host_b =
       c_waiters = [];
       c_closed_local = false;
       c_closed_remote = false;
-      c_tx_free_at = now;
-      c_last_arrival = now;
+      c_clock = { tx_free_at = now; last_arrival = now };
       c_peer = None;
       c_owner_hooked = false;
       c_next_seq = 0;
@@ -754,7 +760,7 @@ let make_pair net ~host_a ~host_b =
 
 let connect net ~host ~to_host ~to_port =
   let eng = net.eng in
-  let latency, _ = link_params net ~src:host ~dst:to_host in
+  let latency = link_latency net ~src:host ~dst:to_host in
   let p = net.perturb in
   let sample () =
     if Perturb.touched p then Perturb.sample p ~src:host ~dst:to_host ~kind:`Data

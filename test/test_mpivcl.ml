@@ -546,6 +546,30 @@ let prop_random_faults_correct =
           && Hashtbl.fold (fun _ v acc -> acc && v = run.reference) run.results true
       | Some (Dispatcher.Aborted _) | None -> false)
 
+(* The duplicate-suppression table against a set model, through growth,
+   with negative and large tags and repeated adds. *)
+let test_seen_table () =
+  let module S = Set.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end) in
+  let seen = Seen.create () and model = ref S.empty in
+  let rng = Random.State.make [| 3 |] in
+  for _ = 1 to 5000 do
+    let src = Random.State.int rng 64 and tag = Random.State.int rng 400 - 200 in
+    let tag = if Random.State.bool rng then tag * 1_000_003 else tag in
+    check_bool "mem agrees" (S.mem (src, tag) !model) (Seen.mem seen ~src ~tag);
+    Seen.add seen ~src ~tag;
+    model := S.add (src, tag) !model
+  done;
+  check_bool "to_list is the set" true (S.equal !model (S.of_list (Seen.to_list seen)));
+  check_int "no duplicates listed" (S.cardinal !model) (List.length (Seen.to_list seen));
+  let copy = Seen.create () in
+  Seen.add_list copy (Seen.to_list seen);
+  check_bool "rebuilt from its list" true (S.equal !model (S.of_list (Seen.to_list copy)));
+  check_bool "absent pair" false (Seen.mem copy ~src:max_int ~tag:min_int)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -601,5 +625,6 @@ let () =
             test_respawned_server_resyncs_shard;
         ] );
       ("local-disk", [ Alcotest.test_case "retention" `Quick test_local_disk_retention ]);
+      ("seen", [ Alcotest.test_case "matches a set" `Quick test_seen_table ]);
       ("properties", qsuite);
     ]

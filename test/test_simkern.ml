@@ -617,6 +617,124 @@ let test_engine_stats () =
   List.iteri (fun i h -> if i < 60 then Engine.cancel h) handles;
   check_int "compacted once" 1 (Engine.stats eng).Engine.compactions
 
+(* ------------------------------------------------------------------ *)
+(* The same-instant lane: events scheduled at exactly [now] *)
+
+let strings = Alcotest.list Alcotest.string
+
+let test_lane_heap_tie_order () =
+  (* At t = 1, [b] sits in the heap with an older seq than the
+     zero-delay [c] that [x] schedules into the lane: [b] runs first. *)
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Engine.schedule eng ~delay:1.0 (fun () ->
+      note "x" ();
+      Engine.schedule eng (note "c") |> ignore)
+  |> ignore;
+  Engine.schedule eng ~delay:1.0 (note "b") |> ignore;
+  ignore (Engine.run eng);
+  check strings "seq order across lane and heap" [ "x"; "b"; "c" ] (List.rev !log)
+
+let test_lane_cancel_and_retime () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  let a = Engine.schedule eng (note "a") in
+  let b = Engine.schedule eng (note "b") in
+  Engine.schedule eng (note "c") |> ignore;
+  Engine.cancel a;
+  (* Away to t = 2 and back to t = 0: the copy keeps [b]'s seq, so it
+     still runs between the cancelled [a] and [c]. *)
+  let b' = Engine.retime (Engine.retime b ~time:2.0) ~time:0.0 in
+  check_bool "a new handle" true (b' != b);
+  check_int "live events" 2 (Engine.pending eng);
+  check_int "three tombstones queued" 5 (Engine.queue_size eng);
+  check_bool "drained" true (Engine.run eng = `Quiescent);
+  check strings "cancelled skipped, retimed in its slot" [ "b"; "c" ] (List.rev !log);
+  check_float "tombstones do not move the clock" 0.0 (Engine.now eng);
+  check_int "queue empty" 0 (Engine.queue_size eng)
+
+let test_lane_snapshot () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  (* [r] is retimed into the heap at t = 0 with the oldest seq; [a] and
+     [b] are lane events; [h] is a later heap event. *)
+  let r = Engine.schedule eng ~delay:5.0 (note "r") in
+  Engine.schedule eng (note "a") |> ignore;
+  let snap_mid = Engine.snapshot eng in
+  Engine.schedule eng (note "b") |> ignore;
+  Engine.schedule eng ~delay:1.0 (note "h") |> ignore;
+  ignore (Engine.retime r ~time:0.0);
+  let size = Engine.queue_size eng and pending = Engine.pending eng in
+  let snap = Engine.snapshot eng in
+  check_int "snapshot keeps the queue" size (Engine.queue_size eng);
+  check_int "snapshot keeps pending" pending (Engine.pending eng);
+  check_int "every queued event captured" size (Engine.snapshot_events snap);
+  check_bool "run" true (Engine.run_one eng);
+  (* Taken with [a] and [b] still in the lane. *)
+  let snap_lane = Engine.snapshot eng in
+  ignore (Engine.run eng);
+  let full = [ "r"; "a"; "b"; "h" ] in
+  check strings "order with snapshots taken" full (List.rev !log);
+  let replay s =
+    log := [];
+    Engine.restore eng s;
+    ignore (Engine.run eng);
+    List.rev !log
+  in
+  check strings "restore from before the run" full (replay snap);
+  check strings "restore twice" full (replay snap);
+  check strings "restore with a non-empty lane" [ "a"; "b"; "h" ] (replay snap_lane);
+  (* Before [b], [h] and the retime: [r] is back at t = 5. *)
+  check strings "restore to an earlier lane" [ "a"; "r" ] (replay snap_mid);
+  check_float "clock of the last event" 5.0 (Engine.now eng)
+
+let test_lane_stop_before () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Engine.schedule eng (note "a") |> ignore;
+  let bp = Engine.schedule eng (note "b") in
+  Engine.schedule eng (note "c") |> ignore;
+  check_bool "paused on the lane event" true (Engine.run ~stop_before:bp eng = `Breakpoint);
+  check strings "only the prefix ran" [ "a" ] (List.rev !log);
+  check_int "breakpoint and successor queued" 2 (Engine.queue_size eng);
+  check_bool "stepped" true (Engine.run_one eng);
+  check strings "stepped onto the breakpoint" [ "a"; "b" ] (List.rev !log);
+  check_bool "rest drains" true (Engine.run ~stop_before:bp eng = `Quiescent);
+  check strings "all ran once" [ "a"; "b"; "c" ] (List.rev !log)
+
+let test_lane_releases_thunks () =
+  (* A popped ring slot must not keep its event's closure alive. *)
+  let eng = Engine.create () in
+  let w = Weak.create 1 in
+  (let payload = Bytes.create 64 in
+   Weak.set w 0 (Some payload);
+   Engine.schedule eng (fun () -> ignore (Bytes.length payload)) |> ignore);
+  ignore (Engine.run eng);
+  Gc.full_major ();
+  check_bool "thunk collected" false (Weak.check w 0);
+  (* The engine, ring included, is still live here. *)
+  check_int "queue empty" 0 (Engine.queue_size eng)
+
+let test_engine_until_never_rewinds () =
+  let eng = Engine.create () in
+  Engine.schedule eng ~delay:7.0 ignore |> ignore;
+  ignore (Engine.run eng);
+  check_float "clock at the event" 7.0 (Engine.now eng);
+  let late = ref nan in
+  Engine.schedule eng ~delay:2.0 ignore |> ignore;
+  check_bool "deadline behind the clock" true (Engine.run ~until:3.0 eng = `Deadline);
+  check_float "clock kept" 7.0 (Engine.now eng);
+  Engine.schedule eng (fun () -> late := Engine.now eng) |> ignore;
+  ignore (Engine.run eng);
+  check_float "zero delay runs at the kept clock" 7.0 !late;
+  check_float "then the later event" 9.0 (Engine.now eng);
+  check_bool "empty queue is quiescent" true (Engine.run ~until:3.0 eng = `Quiescent);
+  check_float "clock still kept" 9.0 (Engine.now eng)
+
 let test_trace_level_gate () =
   let t = Trace.create ~level:Trace.Summary () in
   check_bool "summary enabled" true (Trace.enabled t Trace.Summary);
@@ -659,6 +777,35 @@ let test_rng_exponential_positive () =
   for _ = 1 to 200 do
     check_bool "positive" true (Rng.exponential rng ~mean:3.0 > 0.0)
   done
+
+let test_proc_stale_waker () =
+  (* A waker that lost its race must refuse a value even once its
+     process has suspended again, or the value would resume the wrong
+     suspension. *)
+  let eng = Engine.create () in
+  let mb = Mailbox.create () in
+  let first = ref (fun _ -> true) and second = ref (fun _ -> true) in
+  let got = ref [] in
+  ignore
+    (Proc.spawn eng (fun () ->
+         (* The timer wins; the mailbox waiter stays registered. *)
+         check_bool "timed out" true (Mailbox.recv_timeout mb ~timeout:1.0 = None);
+         let v =
+           Proc.suspend (fun waker ->
+               first := waker;
+               Engine.schedule eng ~delay:1.0 (fun () -> ignore (waker 1)) |> ignore)
+         in
+         got := v :: !got;
+         got := Proc.suspend (fun waker -> second := waker) :: !got));
+  ignore (Engine.run ~until:2.5 eng);
+  check (Alcotest.list Alcotest.int) "first suspension resumed" [ 1 ] !got;
+  Mailbox.send mb 42;
+  check_int "stale mailbox waiter refused the message" 1 (Mailbox.length mb);
+  check_bool "stale waker refuses" false (!first 99);
+  check_bool "current waker accepts" true (!second 7);
+  check_bool "and only once" false (!second 8);
+  ignore (Engine.run eng);
+  check (Alcotest.list Alcotest.int) "second suspension got its value" [ 7; 1 ] !got
 
 (* ------------------------------------------------------------------ *)
 (* Mailbox *)
@@ -1134,6 +1281,16 @@ let prop_engine_model =
       | Ok _ -> true
       | Error e -> QCheck.Test.fail_report e)
 
+let test_engine_model_retime_tie () =
+  (* Two retimes bring the copy back onto its tombstone's instant with
+     the same seq; the older generation must pop first. This program
+     broke the model comparison (queue_size 1, model 0). *)
+  match
+    run_program [ Sched (2.0, None); Retime (0, Offset 0.5); Retime (0, Offset 2.0); Run_one ]
+  with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
 let test_engine_model_coverage () =
   (* The generator must reach the paths the model checks: compaction,
      restore and stop_before breakpoints. A fixed stream of programs
@@ -1206,6 +1363,13 @@ let () =
           Alcotest.test_case "snapshot restore" `Quick test_engine_snapshot_restore;
           Alcotest.test_case "stats" `Quick test_engine_stats;
           Alcotest.test_case "model coverage" `Quick test_engine_model_coverage;
+          Alcotest.test_case "model retime tie" `Quick test_engine_model_retime_tie;
+          Alcotest.test_case "until never rewinds" `Quick test_engine_until_never_rewinds;
+          Alcotest.test_case "lane heap tie order" `Quick test_lane_heap_tie_order;
+          Alcotest.test_case "lane cancel and retime" `Quick test_lane_cancel_and_retime;
+          Alcotest.test_case "lane snapshot" `Quick test_lane_snapshot;
+          Alcotest.test_case "lane stop before" `Quick test_lane_stop_before;
+          Alcotest.test_case "lane releases thunks" `Quick test_lane_releases_thunks;
         ] );
       ( "regions",
         [
@@ -1235,6 +1399,7 @@ let () =
           Alcotest.test_case "freeze running" `Quick
             test_proc_freeze_running_takes_effect_at_suspension;
           Alcotest.test_case "double freeze" `Quick test_proc_double_freeze_single_unfreeze;
+          Alcotest.test_case "stale waker" `Quick test_proc_stale_waker;
         ] );
       ( "mailbox",
         [
