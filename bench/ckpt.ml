@@ -114,18 +114,22 @@ let micro ~replicas =
 (* ------------------------------------------------------------------ *)
 (* Part 3: recovery with a healthy primary vs via the failover ladder *)
 
-module S = Fail_lang.Codegen.Scenario
+module S = Fail_lang.Fault_plan
 
 let kill_only =
-  S.source ~n_machines [ { S.machine = 1; anchor = S.After 40; kind = S.Kill } ]
+  S.to_scenario { S.n_machines; faults = [ { S.machine = 1; anchor = S.After 40; kind = S.Kill } ] }
 
 let kill_after_primary_down =
   (* rank 1's primary is server 1 mod 3; shoot it, then the rank. *)
-  S.source ~n_machines
-    [
-      { S.machine = 1; anchor = S.After 35; kind = S.Service_kill { service = S.S_ckpt 1 } };
-      { S.machine = 1; anchor = S.After 5; kind = S.Kill };
-    ]
+  S.to_scenario
+    {
+      S.n_machines;
+      faults =
+        [
+          { S.machine = 1; anchor = S.After 35; kind = S.Service_kill { service = S.S_ckpt } };
+          { S.machine = 1; anchor = S.After 5; kind = S.Kill };
+        ];
+    }
 
 let recovery_cell ~scenario ~ckpt_replicas =
   let t0 = Unix.gettimeofday () in

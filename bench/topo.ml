@@ -17,7 +17,7 @@
    counters. The simulated-time companion is `failmpi_experiments
    topo`. *)
 
-module S = Fail_lang.Codegen.Scenario
+module S = Fail_lang.Fault_plan
 
 let klass = Workload.Bt_model.A
 let n_ranks = 4
@@ -108,7 +108,9 @@ let () =
   List.iteri
     (fun i (name, kind) ->
       Printf.printf "component fault: %s...\n%!" name;
-      let scenario = S.source ~n_machines [ { S.machine = 0; anchor = S.After 20; kind } ] in
+      let scenario =
+        S.to_scenario { S.n_machines; faults = [ { S.machine = 0; anchor = S.After 20; kind } ] }
+      in
       let t0 = Unix.gettimeofday () in
       let r = run ~topology:(Simtopo.Topo.Fat_tree { k }) ~scenario ~seed:1L () in
       let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in

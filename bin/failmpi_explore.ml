@@ -119,13 +119,12 @@ let run protocol replicas ranks klass max_faults budget jobs seed targets bucket
             else [])
            @
            (* --services: shoot the storage/control plane too. The plan's
-              machine index doubles as the ckpt replica index
-              (Plan.align_service); one beyond the deployed servers is a
-              traced no-op, like shooting a spare. *)
+              machine index is the ckpt replica index; one beyond the
+              deployed servers is a traced no-op, like shooting a spare. *)
            (if services then
               [
-                Explore.Plan.Service_kill { service = Explore.Plan.S_ckpt 0 };
-                Explore.Plan.Service_freeze { service = Explore.Plan.S_ckpt 0; thaw = 20 };
+                Explore.Plan.Service_kill { service = Explore.Plan.S_ckpt };
+                Explore.Plan.Service_freeze { service = Explore.Plan.S_ckpt; thaw = 20 };
                 Explore.Plan.Service_kill { service = Explore.Plan.S_sched };
                 Explore.Plan.Service_freeze { service = Explore.Plan.S_sched; thaw = 20 };
               ]
@@ -149,13 +148,12 @@ let run protocol replicas ranks klass max_faults budget jobs seed targets bucket
   let report, _stats =
     try Explore.run_spec ?jobs ~fork ?corpus ecfg ~spec
     with Invalid_argument msg ->
-      (* [Explore.run_spec] prefixes its own name; re-badge for the CLI. *)
-      let prefix = "Explore.run_spec: " in
-      let plen = String.length prefix in
+      (* [Explore] prefixes its function's name; re-badge for the CLI. *)
       let msg =
-        if String.length msg > plen && String.sub msg 0 plen = prefix then
-          String.sub msg plen (String.length msg - plen)
-        else msg
+        match String.index_opt msg ' ' with
+        | Some i when String.starts_with ~prefix:"Explore." msg ->
+            String.sub msg (i + 1) (String.length msg - i - 1)
+        | _ -> msg
       in
       prerr_endline ("failmpi_explore: " ^ msg);
       exit 1

@@ -6,7 +6,7 @@
    mid-commit — the torn-write case the atomic prepare/commit protocol
    must survive. *)
 
-module S = Fail_lang.Codegen.Scenario
+module S = Fail_lang.Fault_plan
 
 type config = {
   klass : Workload.Bt_model.klass;
@@ -42,14 +42,14 @@ let scenarios ~n_machines =
     (* Server dies while no store is in flight: waves time out / redirect
        and the respawned server rejoins — the run must complete. *)
     ( "between-waves",
-      [ { S.machine = 0; anchor = S.After 18; kind = S.Service_kill { service = S.S_ckpt 0 } } ] );
+      [ { S.machine = 0; anchor = S.After 18; kind = S.Service_kill { service = S.S_ckpt } } ] );
     (* Server dies two seconds into the first wave's store window (a torn
        write on its disk), then a rank dies and must restore: mirrors
        (replicas = 2) fail the fetch over; a single replica ends in
        ckpt-lost — never a hang. *)
     ( "mid-commit kill",
       [
-        { S.machine = 0; anchor = S.After 32; kind = S.Service_kill { service = S.S_ckpt 0 } };
+        { S.machine = 0; anchor = S.After 32; kind = S.Service_kill { service = S.S_ckpt } };
         { S.machine = 1; anchor = S.After 6; kind = S.Kill };
       ] );
     (* Primary and its mirror both die before the rank restarts: no
@@ -57,8 +57,8 @@ let scenarios ~n_machines =
        in ckpt-lost. *)
     ( "primary+mirror kill",
       [
-        { S.machine = 0; anchor = S.After 32; kind = S.Service_kill { service = S.S_ckpt 0 } };
-        { S.machine = 1; anchor = S.After 1; kind = S.Service_kill { service = S.S_ckpt 1 } };
+        { S.machine = 0; anchor = S.After 32; kind = S.Service_kill { service = S.S_ckpt } };
+        { S.machine = 1; anchor = S.After 1; kind = S.Service_kill { service = S.S_ckpt } };
         { S.machine = 1; anchor = S.After 5; kind = S.Kill };
       ] );
     (* Server freezes mid-store and thaws 20 s later: the scheduler's
@@ -69,11 +69,11 @@ let scenarios ~n_machines =
         {
           S.machine = 0;
           anchor = S.After 32;
-          kind = S.Service_freeze { service = S.S_ckpt 0; thaw = 20 };
+          kind = S.Service_freeze { service = S.S_ckpt; thaw = 20 };
         };
       ] );
   ]
-  |> List.map (fun (name, faults) -> (name, S.source ~n_machines faults))
+  |> List.map (fun (name, faults) -> (name, S.to_scenario { S.n_machines; faults }))
 
 (* Only the rollback families own the checkpoint storage plane. *)
 let families = [ "vcl"; "blocking"; "v2" ]

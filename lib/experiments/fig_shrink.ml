@@ -36,6 +36,10 @@ let case_name = function
   | Storm -> "storm k3+cut"
   | Quorum_loss -> "quorum loss"
 
+module P = Fail_lang.Fault_plan
+
+let plan config faults = P.to_scenario { P.n_machines = config.n_machines; faults }
+
 (* The four cells of the recovery-time vs answer-quality grid:
    - [Kill_one]: one mid-run kill — the rollback families pay a recovery
      wave, replication a failover, the shrink backend one agreement.
@@ -51,29 +55,17 @@ let case_name = function
 let scenario_of config = function
   | Baseline -> None
   | Kill_one ->
-      Some
-        (Fail_lang.Codegen.Scenario.source ~n_machines:config.n_machines
-           [
-             {
-               Fail_lang.Codegen.Scenario.machine = 3;
-               anchor = Fail_lang.Codegen.Scenario.After 30;
-               kind = Fail_lang.Codegen.Scenario.Kill;
-             };
-           ])
+      Some (plan config [ { P.machine = 3; anchor = P.After 30; kind = P.Kill } ])
   | Storm ->
       Some
         (Fail_lang.Paper_scenarios.shrink_storm ~n_machines:config.n_machines
            ~targets:[ 1; 5; 7 ] ~start:25 ~step:3 ~victim:2 ~lag:2)
   | Quorum_loss ->
       Some
-        (Fail_lang.Codegen.Scenario.source ~n_machines:config.n_machines
+        (plan config
            (List.mapi
               (fun i m ->
-                {
-                  Fail_lang.Codegen.Scenario.machine = m;
-                  anchor = Fail_lang.Codegen.Scenario.After (if i = 0 then 30 else 1);
-                  kind = Fail_lang.Codegen.Scenario.Partition;
-                })
+                { P.machine = m; anchor = P.After (if i = 0 then 30 else 1); kind = P.Partition })
               [ 3; 4; 5; 6; 7; 8 ]))
 
 type row = { family : string; case : case; agg : Harness.agg }

@@ -1,4 +1,4 @@
-module S = Fail_lang.Codegen.Scenario
+module S = Fail_lang.Fault_plan
 
 type config = {
   klass : Workload.Bt_model.klass;
@@ -25,6 +25,7 @@ let n_compute config = config.k * config.k * config.k / 4
 let after machine kind = { S.machine; anchor = S.After 20; kind }
 
 let then_now machine kind = { S.machine; anchor = S.After 0; kind }
+let plan n_machines faults = S.to_scenario { S.n_machines; faults }
 
 (* Every cell loses the same number of hosts (two) to the fabric at the
    same time; only the placement differs. Killing edge switch 0 blacks
@@ -37,13 +38,13 @@ let cells config =
     ("baseline", "fault-free", None);
     ( "rack",
       "rack-correlated (edge switch 0)",
-      Some (S.source ~n_machines:nc [ after 0 (S.Switch_kill { tier = Fail_lang.Ast.Tier_edge }) ]) );
+      Some (plan nc [ after 0 (S.Switch_kill { tier = Fail_lang.Ast.Tier_edge }) ]) );
     ( "cross-pod",
       "independent cross-pod (hosts 0,4)",
-      Some (S.source ~n_machines:nc [ after 0 S.Partition; then_now 4 S.Partition ]) );
+      Some (plan nc [ after 0 S.Partition; then_now 4 S.Partition ]) );
     ( "pod-degrade",
       "degrade pod 0 (30% loss, 5 ms)",
-      Some (S.source ~n_machines:nc [ after 0 (S.Pod_degrade { loss = 300; latency = 5 }) ]) );
+      Some (plan nc [ after 0 (S.Pod_degrade { loss = 300; latency = 5 }) ]) );
   ]
 
 let run ?jobs ?(config = default_config) () =

@@ -15,6 +15,7 @@
    produce byte-identical files, and the mutation stream is a pure
    function of (sample_seed, generation). *)
 
+module Plan = Fail_lang.Fault_plan
 module Rng = Simkern.Rng
 
 type space = {
@@ -26,19 +27,6 @@ type space = {
   sample_seed : int;
 }
 
-let svc_tag = function Plan.S_ckpt _ -> "ckpt" | Plan.S_sched -> "sched" | Plan.S_disp -> "disp"
-
-let kind_tag = function
-  | Plan.Kill -> "kill"
-  | Plan.Freeze { thaw } -> Printf.sprintf "freeze%d" thaw
-  | Plan.Partition -> "part"
-  | Plan.Degrade { loss; latency } -> Printf.sprintf "deg%dl%d" loss latency
-  | Plan.Heal -> "heal"
-  | Plan.Switch_kill { tier } -> "sw" ^ Fail_lang.Ast.tier_name tier
-  | Plan.Pod_degrade { loss; latency } -> Printf.sprintf "pdeg%dl%d" loss latency
-  | Plan.Service_kill { service } -> "sk" ^ svc_tag service
-  | Plan.Service_freeze { service; thaw } -> Printf.sprintf "sf%s%d" (svc_tag service) thaw
-
 let ints xs = String.concat "," (List.map string_of_int xs)
 
 (* The fingerprint covers everything that gives plan keys and mutation
@@ -48,7 +36,7 @@ let space_fingerprint s =
   Printf.sprintf
     "n_machines=%d targets=%s buckets=%s kinds=%s max_faults=%d sample_seed=%d"
     s.n_machines (ints s.targets) (ints s.buckets)
-    (String.concat "," (List.map kind_tag s.kinds))
+    (String.concat "," (List.map Plan.token s.kinds))
     s.max_faults s.sample_seed
 
 let magic = "failmpi-explore-corpus v1"
@@ -147,14 +135,14 @@ let note t ~plan_key ~sig_hash =
 (* ---- seeded mutation ---------------------------------------------- *)
 
 let mutate_fault rng space (f : Plan.fault) =
-  Plan.align_service
+  Plan.canonical
     (match Rng.int rng 3 with
     | 0 -> { f with Plan.anchor = Plan.After (Rng.choose rng space.buckets) }
     | 1 -> { f with Plan.machine = Rng.choose rng space.targets }
     | _ -> { f with Plan.kind = Rng.choose rng space.kinds })
 
 let random_fault rng space =
-  Plan.align_service
+  Plan.canonical
     {
       Plan.machine = Rng.choose rng space.targets;
       anchor = Plan.After (Rng.choose rng space.buckets);

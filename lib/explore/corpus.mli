@@ -13,6 +13,8 @@
     configuration fingerprint; loading under a different configuration
     is refused (see docs/EXPLORER.md for the exact layout). *)
 
+module Plan = Fail_lang.Fault_plan
+
 (** The plan-space coordinates that give keys and mutation draws their
     meaning.  [budget] is deliberately absent — raising it between
     campaigns is how a corpus is resumed. *)

@@ -1,4 +1,4 @@
-module Plan = Plan
+module Plan = Fail_lang.Fault_plan
 module Shrink = Shrink
 module Prefix = Prefix
 module Corpus = Corpus
@@ -76,25 +76,32 @@ let default_config ~n_machines ~targets ~buckets =
 
 let plan cfg faults = { Plan.n_machines = cfg.n_machines; faults }
 
+(* Single faults, one per distinct key in first-occurrence order: kinds
+   that ignore their machine ([Heal], sched/disp services) would
+   otherwise repeat once per target. *)
 let singles cfg =
+  let seen = Hashtbl.create 64 in
   List.concat_map
     (fun machine ->
       List.concat_map
         (fun bucket ->
-          List.map
+          List.filter_map
             (fun kind ->
-              plan cfg
-                [ Plan.align_service { Plan.machine; anchor = Plan.After bucket; kind } ])
+              let f = Plan.canonical { Plan.machine; anchor = Plan.After bucket; kind } in
+              let p = plan cfg [ f ] in
+              let k = Plan.key p in
+              if Hashtbl.mem seen k then None
+              else begin
+                Hashtbl.add seen k ();
+                Some p
+              end)
             cfg.kinds)
         cfg.buckets)
     cfg.targets
 
 let pairs cfg =
-  List.concat_map
-    (fun first ->
-      List.map (fun second -> plan cfg [ first; second ])
-        (List.concat (List.map (fun p -> p.Plan.faults) (singles cfg))))
-    (List.concat (List.map (fun p -> p.Plan.faults) (singles cfg)))
+  let firsts = List.concat_map (fun p -> p.Plan.faults) (singles cfg) in
+  List.concat_map (fun first -> List.map (fun second -> plan cfg [ first; second ]) firsts) firsts
 
 let sampled cfg ~count =
   if count <= 0 || cfg.max_faults < 3 then []
@@ -104,7 +111,7 @@ let sampled cfg ~count =
         let n_faults = 3 + (i mod (cfg.max_faults - 2)) in
         plan cfg
           (List.init n_faults (fun _ ->
-               Plan.align_service
+               Plan.canonical
                  {
                    Plan.machine = Simkern.Rng.choose rng cfg.targets;
                    anchor = Plan.After (Simkern.Rng.choose rng cfg.buckets);
@@ -125,6 +132,16 @@ let plans cfg =
   if cfg.budget < 1 then invalid_arg "Explore.plans: budget must be >= 1";
   if cfg.targets = [] || cfg.buckets = [] || cfg.kinds = [] then
     invalid_arg "Explore.plans: targets, buckets and kinds must be non-empty";
+  if List.exists (fun b -> b < 0) cfg.buckets then
+    invalid_arg "Explore.plans: buckets must be >= 0";
+  (* A kind whose token does not parse back carries a negative parameter
+     (a thaw, loss or latency); its scenario would not compile. *)
+  List.iter
+    (fun k ->
+      if Plan.kind_of_token (Plan.token k) <> Some k then
+        invalid_arg
+          (Printf.sprintf "Explore.plans: fault kind %s has a negative parameter" (Plan.token k)))
+    cfg.kinds;
   let grid =
     singles cfg @ (if cfg.max_faults >= 2 then pairs cfg else [])
   in
@@ -413,23 +430,6 @@ let json_escape s =
 
 let json_ints xs = "[" ^ String.concat ", " (List.map string_of_int xs) ^ "]"
 
-let service_name = function
-  | Plan.S_ckpt _ -> "ckpt"
-  | Plan.S_sched -> "sched"
-  | Plan.S_disp -> "disp"
-
-let kind_name = function
-  | Plan.Kill -> "kill"
-  | Plan.Freeze { thaw } -> Printf.sprintf "freeze%d" thaw
-  | Plan.Partition -> "partition"
-  | Plan.Degrade { loss; latency } -> Printf.sprintf "degrade%dl%d" loss latency
-  | Plan.Heal -> "heal"
-  | Plan.Switch_kill { tier } -> Printf.sprintf "switch-kill-%s" (Fail_lang.Ast.tier_name tier)
-  | Plan.Pod_degrade { loss; latency } -> Printf.sprintf "pod-degrade%dl%d" loss latency
-  | Plan.Service_kill { service } -> Printf.sprintf "service-kill-%s" (service_name service)
-  | Plan.Service_freeze { service; thaw } ->
-      Printf.sprintf "service-freeze-%s%d" (service_name service) thaw
-
 let fault_json (f : Plan.fault) =
   let anchor =
     match f.Plan.anchor with
@@ -438,7 +438,7 @@ let fault_json (f : Plan.fault) =
         Printf.sprintf {|"on-reload", "nth": %d, "delay": %d|} nth delay
   in
   Printf.sprintf {|{"machine": %d, "kind": "%s", "anchor": %s}|} f.Plan.machine
-    (kind_name f.Plan.kind) anchor
+    (Plan.token f.Plan.kind) anchor
 
 let plan_json (p : Plan.t) =
   Printf.sprintf {|{"key": "%s", "faults": [%s]}|} (json_escape (Plan.key p))
@@ -453,7 +453,7 @@ let to_json rp =
        \"max_faults\": %d, \"budget\": %d, \"sample_seed\": %d},\n"
     rp.config.n_machines (json_ints rp.config.targets) (json_ints rp.config.buckets)
     (String.concat ", "
-       (List.map (fun k -> Printf.sprintf "\"%s\"" (kind_name k)) rp.config.kinds))
+       (List.map (fun k -> Printf.sprintf "\"%s\"" (Plan.token k)) rp.config.kinds))
     rp.config.max_faults rp.config.budget rp.config.sample_seed;
   add "  \"explored\": %d,\n" (List.length rp.records);
   add

@@ -8,7 +8,8 @@
 
     Search strategy, deterministic in the configuration:
     - exhaustive grid over (target machine × time bucket × kind) for
-      single faults;
+      single faults, one plan per distinct key (kinds that ignore their
+      machine are drawn once per bucket, not once per target);
     - exhaustive grid over ordered pairs for two-fault plans (the
       second fault's bucket is relative to the first, so pairs cover
       the "strike inside the recovery wave" shapes);
@@ -18,7 +19,7 @@
     {!Par.map}, and reports are assembled in input order — the same
     configuration yields byte-identical reports at any [?jobs]. *)
 
-module Plan = Plan
+module Plan = Fail_lang.Fault_plan
 module Shrink = Shrink
 module Prefix = Prefix
 module Corpus = Corpus
@@ -62,7 +63,9 @@ type config = {
 val default_config : n_machines:int -> targets:int list -> buckets:int list -> config
 
 (** [plans config] is the deterministic search stream, truncated to
-    [config.budget]. Exposed for tests and coverage accounting. *)
+    [config.budget]. Exposed for tests and coverage accounting. Raises
+    [Invalid_argument] on an empty target, bucket or kind list, a
+    negative bucket, or a kind with a negative parameter. *)
 val plans : config -> Plan.t list
 
 type record = {

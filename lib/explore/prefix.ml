@@ -30,6 +30,7 @@
    progress, so the scheme cannot deadlock, and at most [jobs]
    simulations burn CPU at once no matter how bushy the trie is. *)
 
+module Plan = Fail_lang.Fault_plan
 module Run = Failmpi.Run
 module Runtime = Failmpi.Inject.Runtime
 module Engine = Simkern.Engine

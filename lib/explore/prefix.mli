@@ -8,6 +8,8 @@
     Verdicts, signatures and reports are byte-identical to replaying
     every plan from t = 0, at any [~jobs] (see docs/EXPLORER.md). *)
 
+module Plan = Fail_lang.Fault_plan
+
 type stats = {
   forks : int;  (** processes forked; total simulations = forks + 1 *)
   pauses : int;  (** breakpoints where a prefix state was shared onward *)

@@ -1,3 +1,5 @@
+module Plan = Fail_lang.Fault_plan
+
 (* ddmin: split the candidate into n chunks; if some chunk alone still
    fails, recurse on it with n=2; if some complement fails, recurse on
    the complement with n-1; otherwise double the granularity until it

@@ -15,6 +15,8 @@
     Oracles are called on candidates only — never on the original
     input, which the caller has already established as failing. *)
 
+module Plan = Fail_lang.Fault_plan
+
 (** [ddmin ~test xs] returns [(minimal, probes)]: a 1-minimal sublist of
     [xs] such that [test minimal] holds (order preserved), and the
     number of oracle calls made. [test xs] is assumed true; the empty

@@ -57,503 +57,3 @@ let to_dot (a : Automaton.t) =
     a.nodes;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Fault-plan scenario generation (the explorer's replay format). *)
-
-module Scenario = struct
-  (* Process faults go through a controller message ([kill]/[freezeN]);
-     network faults are executed directly by the coordinator via the
-     first-class FAIL network actions, so they need no controller
-     cooperation. [Partition] isolates the target machine; [Degrade]
-     worsens every link touching it ([loss] permille, [latency] ms);
-     [Heal] clears all installed network faults (its machine is
-     canonically 0 and otherwise ignored). *)
-  (* Infrastructure service faults are executed by the coordinator via
-     the first-class [halt service ...] actions, like network faults —
-     services are not members of the controller group. The [machine] of
-     such an injection is the ckpt replica index (0 for sched/disp). *)
-  type service = S_ckpt of int | S_sched | S_disp
-
-  type kind =
-    | Kill
-    | Freeze of { thaw : int }
-    | Partition
-    | Degrade of { loss : int; latency : int }
-    | Heal
-    | Switch_kill of { tier : Ast.tier }  (* machine = switch index *)
-    | Pod_degrade of { loss : int; latency : int }  (* machine = pod index *)
-    | Service_kill of { service : service }
-    | Service_freeze of { service : service; thaw : int }
-
-  type anchor = After of int | On_reload of { nth : int; delay : int }
-
-  type injection = { machine : int; anchor : anchor; kind : kind }
-
-  let loc = Loc.dummy
-
-  let msg_of_kind = function
-    | Kill -> "kill"
-    | Freeze { thaw } -> Printf.sprintf "freeze%d" thaw
-    | Partition | Degrade _ | Heal | Switch_kill _ | Pod_degrade _ | Service_kill _
-    | Service_freeze _ ->
-        invalid_arg
-          "Scenario.msg_of_kind: network and service faults have no controller message"
-
-  let sel_of_service = function
-    | S_ckpt i -> Ast.Svc_ckpt (Ast.Int i)
-    | S_sched -> Ast.Svc_sched
-    | S_disp -> Ast.Svc_disp
-
-  let machine_of_service = function S_ckpt i -> i | S_sched | S_disp -> 0
-
-  let kind_of_msg msg =
-    if String.equal msg "kill" then Some Kill
-    else
-      let p = "freeze" in
-      let pl = String.length p in
-      if String.length msg > pl && String.equal (String.sub msg 0 pl) p then
-        Option.map
-          (fun thaw -> Freeze { thaw })
-          (int_of_string_opt (String.sub msg pl (String.length msg - pl)))
-      else None
-
-  let needs_reload injections =
-    List.exists
-      (fun i -> match i.anchor with On_reload _ -> true | After _ -> false)
-      injections
-
-  (* Controller thaw durations: service freezes thaw from a coordinator
-     timer node instead, so they contribute none. *)
-  let thaws injections =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun i ->
-           match i.kind with
-           | Freeze { thaw } -> Some thaw
-           | Kill | Partition | Degrade _ | Heal | Switch_kill _ | Pod_degrade _
-           | Service_kill _ | Service_freeze _ ->
-               None)
-         injections)
-
-  (* Every controller registration is forwarded to the coordinator as a
-     [reg] message; [regs] counts them so [On_reload { nth; _ }] can wait
-     for the [nth] cumulative registration (initial launches included). *)
-  let count_reg =
-    {
-      Ast.t_loc = loc;
-      guard = { Ast.trigger = Some (Ast.T_recv "reg"); conds = [] };
-      actions = [ Ast.A_assign ("regs", Ast.Binop (Ast.Add, Ast.Var "regs", Ast.Int 1)) ];
-    }
-
-  let fire_name i = Printf.sprintf "f%d" (i + 1)
-
-  let entry_name i inj =
-    match inj.anchor with
-    | After _ -> fire_name i
-    | On_reload _ -> Printf.sprintf "w%d" (i + 1)
-
-  (* Coordinator: one chain of nodes, one (or two, for reload-anchored)
-     per injection, ending in [done]. Timers arm on node entry, so an
-     [After d] delay is relative to the previous fault having fired. *)
-  let plan_daemon ~with_reg injections =
-    let n = List.length injections in
-    let next_entry i =
-      if i + 1 >= n then "done" else entry_name (i + 1) (List.nth injections (i + 1))
-    in
-    let counting = if with_reg then [ count_reg ] else [] in
-    let nodes =
-      List.concat
-        (List.mapi
-           (fun i inj ->
-             (* The fire node's actions plus any follow-up nodes. A
-                service freeze splits in two: the fire node stops the
-                service and moves to a thaw node whose timer resumes it
-                — the structural analogue of the controller's frozen
-                state, lifted into the coordinator. *)
-             let fire_actions, extra_nodes =
-               let target = Ast.D_indexed ("G1", Ast.Int inj.machine) in
-               let simple a = ([ a; Ast.A_goto (next_entry i) ], []) in
-               match inj.kind with
-               | Kill | Freeze _ -> simple (Ast.A_send (msg_of_kind inj.kind, target))
-               | Partition -> simple (Ast.A_partition (target, None))
-               | Degrade { loss; latency } ->
-                   simple
-                     (Ast.A_degrade
-                        {
-                          Ast.deg_target = target;
-                          deg_loss = Some (Ast.Int loss);
-                          deg_latency = Some (Ast.Int latency);
-                          deg_jitter = None;
-                        })
-               | Heal -> simple Ast.A_heal
-               | Switch_kill { tier } ->
-                   (* [machine] is the per-tier switch index, not a host. *)
-                   simple
-                     (Ast.A_partition
-                        (Ast.D_topo (Ast.Sel_switch (tier, Ast.Int inj.machine)), None))
-               | Pod_degrade { loss; latency } ->
-                   simple
-                     (Ast.A_degrade
-                        {
-                          Ast.deg_target = Ast.D_topo (Ast.Sel_pod (Ast.Int inj.machine));
-                          deg_loss = Some (Ast.Int loss);
-                          deg_latency = Some (Ast.Int latency);
-                          deg_jitter = None;
-                        })
-               | Service_kill { service } ->
-                   simple (Ast.A_halt (Some (sel_of_service service)))
-               | Service_freeze { service; thaw } ->
-                   let sel = sel_of_service service in
-                   let thaw_id = Printf.sprintf "s%d" (i + 1) in
-                   let thaw_node =
-                     {
-                       Ast.n_loc = loc;
-                       n_id = thaw_id;
-                       n_always = [];
-                       n_timer = Some ("thaw", Ast.Int thaw);
-                       n_transitions =
-                         {
-                           Ast.t_loc = loc;
-                           guard = { Ast.trigger = Some Ast.T_timer; conds = [] };
-                           actions =
-                             [ Ast.A_continue (Some sel); Ast.A_goto (next_entry i) ];
-                         }
-                         :: counting;
-                     }
-                   in
-                   ([ Ast.A_stop (Some sel); Ast.A_goto thaw_id ], [ thaw_node ])
-             in
-             let fire delay =
-               {
-                 Ast.n_loc = loc;
-                 n_id = fire_name i;
-                 n_always = [];
-                 n_timer = Some ("t", Ast.Int delay);
-                 n_transitions =
-                   {
-                     Ast.t_loc = loc;
-                     guard = { Ast.trigger = Some Ast.T_timer; conds = [] };
-                     actions = fire_actions;
-                   }
-                   :: counting;
-               }
-             in
-             match inj.anchor with
-             | After delay -> fire delay :: extra_nodes
-             | On_reload { nth; delay } ->
-                 let arm =
-                   {
-                     Ast.t_loc = loc;
-                     guard =
-                       {
-                         Ast.trigger = Some (Ast.T_recv "reg");
-                         conds = [ (Ast.Ge, Ast.Var "regs", Ast.Int (nth - 1)) ];
-                       };
-                     actions =
-                       [
-                         Ast.A_assign ("regs", Ast.Binop (Ast.Add, Ast.Var "regs", Ast.Int 1));
-                         Ast.A_goto (fire_name i);
-                       ];
-                   }
-                 in
-                 {
-                   Ast.n_loc = loc;
-                   n_id = Printf.sprintf "w%d" (i + 1);
-                   n_always = [];
-                   n_timer = None;
-                   n_transitions = arm :: counting;
-                 }
-                 :: fire delay :: extra_nodes)
-           injections)
-    in
-    let done_node =
-      { Ast.n_loc = loc; n_id = "done"; n_always = []; n_timer = None; n_transitions = counting }
-    in
-    {
-      Ast.d_loc = loc;
-      d_name = "PLAN";
-      d_vars = (if with_reg then [ ("regs", Ast.Int 0) ] else []);
-      d_nodes = nodes @ [ done_node ];
-    }
-
-  (* Per-machine controller: [idle] (no process) / [live] / one frozen
-     node per distinct thaw duration. Unmatched messages are dropped by
-     the FCI runtime, so a [kill] aimed at an idle controller is a no-op
-     (the fault is wasted, exactly like shooting a spare host). *)
-  let node_daemon ~with_reg ~thaws =
-    let on_load =
-      {
-        Ast.t_loc = loc;
-        guard = { Ast.trigger = Some Ast.T_onload; conds = [] };
-        actions =
-          (Ast.A_continue None
-           :: (if with_reg then [ Ast.A_send ("reg", Ast.D_instance "P1") ] else []))
-          @ [ Ast.A_goto "live" ];
-      }
-    in
-    let to_idle trigger =
-      {
-        Ast.t_loc = loc;
-        guard = { Ast.trigger = Some trigger; conds = [] };
-        actions = [ Ast.A_goto "idle" ];
-      }
-    in
-    let on_kill =
-      {
-        Ast.t_loc = loc;
-        guard = { Ast.trigger = Some (Ast.T_recv "kill"); conds = [] };
-        actions = [ Ast.A_halt None; Ast.A_goto "idle" ];
-      }
-    in
-    let freeze_transitions =
-      List.map
-        (fun thaw ->
-          {
-            Ast.t_loc = loc;
-            guard = { Ast.trigger = Some (Ast.T_recv (Printf.sprintf "freeze%d" thaw)); conds = [] };
-            actions = [ Ast.A_stop None; Ast.A_goto (Printf.sprintf "frozen%d" thaw) ];
-          })
-        thaws
-    in
-    let idle =
-      { Ast.n_loc = loc; n_id = "idle"; n_always = []; n_timer = None; n_transitions = [ on_load ] }
-    in
-    let live =
-      {
-        Ast.n_loc = loc;
-        n_id = "live";
-        n_always = [];
-        n_timer = None;
-        n_transitions =
-          [ to_idle Ast.T_onexit; to_idle Ast.T_onerror; on_load; on_kill ] @ freeze_transitions;
-      }
-    in
-    let frozen =
-      List.map
-        (fun thaw ->
-          {
-            Ast.n_loc = loc;
-            n_id = Printf.sprintf "frozen%d" thaw;
-            n_always = [];
-            n_timer = Some ("thaw", Ast.Int thaw);
-            n_transitions =
-              [
-                {
-                  Ast.t_loc = loc;
-                  guard = { Ast.trigger = Some Ast.T_timer; conds = [] };
-                  actions = [ Ast.A_continue None; Ast.A_goto "live" ];
-                };
-                to_idle Ast.T_onexit;
-                to_idle Ast.T_onerror;
-                on_kill;
-              ];
-          })
-        thaws
-    in
-    { Ast.d_loc = loc; d_name = "NODE"; d_vars = []; d_nodes = (idle :: live :: frozen) }
-
-  let program ~n_machines injections =
-    let with_reg = needs_reload injections in
-    {
-      Ast.daemons = [ plan_daemon ~with_reg injections; node_daemon ~with_reg ~thaws:(thaws injections) ];
-      deployments =
-        [
-          Ast.Dep_singleton { dep_loc = loc; inst = "P1"; daemon = "PLAN"; machine = n_machines };
-          Ast.Dep_group
-            {
-              dep_loc = loc;
-              inst = "G1";
-              count = n_machines;
-              daemon = "NODE";
-              mach_lo = 0;
-              mach_hi = n_machines - 1;
-            };
-        ];
-    }
-
-  let source ~n_machines injections = Pp.program_to_string (program ~n_machines injections)
-
-  (* ---- parse-back ------------------------------------------------- *)
-
-  let rec fold_const = function
-    | Ast.Int n -> Some n
-    | Ast.Binop (op, a, b) -> (
-        match (fold_const a, fold_const b) with
-        | Some a, Some b -> (
-            match op with
-            | Ast.Add -> Some (a + b)
-            | Ast.Sub -> Some (a - b)
-            | Ast.Mul -> Some (a * b)
-            | Ast.Div -> if b = 0 then None else Some (a / b)
-            | Ast.Mod -> if b = 0 then None else Some (a mod b))
-        | _ -> None)
-    | Ast.Var _ | Ast.App_var _ | Ast.Random _ -> None
-
-  let injections_of_program (p : Ast.program) =
-    let ( let* ) = Result.bind in
-    let* group =
-      match
-        List.filter_map
-          (function Ast.Dep_group { count; mach_lo; _ } -> Some (count, mach_lo) | _ -> None)
-          p.Ast.deployments
-      with
-      | [ (count, 0) ] -> Ok count
-      | [ (_, lo) ] -> Error (Printf.sprintf "controller group starts at machine %d, not 0" lo)
-      | _ -> Error "expected exactly one controller group deployment"
-    in
-    let* plan_name =
-      match
-        List.filter_map
-          (function Ast.Dep_singleton { daemon; _ } -> Some daemon | _ -> None)
-          p.Ast.deployments
-      with
-      | [ name ] -> Ok name
-      | _ -> Error "expected exactly one coordinator deployment"
-    in
-    let* plan =
-      match List.find_opt (fun d -> String.equal d.Ast.d_name plan_name) p.Ast.daemons with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "coordinator daemon %s not found" plan_name)
-    in
-    (* Structural walk over the coordinator's nodes, in declaration
-       order: a reload-wait node carries the [nth] threshold of the fire
-       node that follows it; any other shape is rejected. *)
-    (* The structural inverse of [fault_action] above: recover (machine,
-       kind) from the leading action of a timer transition. *)
-    let service_of_sel = function
-      | Ast.Svc_ckpt e -> Option.map (fun i -> S_ckpt i) (fold_const e)
-      | Ast.Svc_sched -> Some S_sched
-      | Ast.Svc_disp -> Some S_disp
-    in
-    let kind_of_actions = function
-      | Ast.A_send (msg, Ast.D_indexed (_, machine_e)) :: _ -> (
-          match (fold_const machine_e, kind_of_msg msg) with
-          | Some machine, Some kind -> Some (machine, kind)
-          | _ -> None)
-      | Ast.A_halt (Some sel) :: _ ->
-          Option.map
-            (fun service -> (machine_of_service service, Service_kill { service }))
-            (service_of_sel sel)
-      | Ast.A_stop (Some sel) :: _ ->
-          (* Freeze begin: the thaw duration lives in the following
-             coordinator node; [walk] fills it in after consuming it. *)
-          Option.map
-            (fun service ->
-              (machine_of_service service, Service_freeze { service; thaw = 0 }))
-            (service_of_sel sel)
-      | Ast.A_partition (Ast.D_indexed (_, machine_e), None) :: _ ->
-          Option.map (fun machine -> (machine, Partition)) (fold_const machine_e)
-      | Ast.A_partition (Ast.D_topo (Ast.Sel_switch (tier, idx_e)), None) :: _ ->
-          Option.map (fun idx -> (idx, Switch_kill { tier })) (fold_const idx_e)
-      | Ast.A_degrade
-          { Ast.deg_target = Ast.D_indexed (_, machine_e); deg_loss; deg_latency; _ }
-        :: _ -> (
-          let dim = function None -> Some 0 | Some e -> fold_const e in
-          match (fold_const machine_e, dim deg_loss, dim deg_latency) with
-          | Some machine, Some loss, Some latency ->
-              Some (machine, Degrade { loss; latency })
-          | _ -> None)
-      | Ast.A_degrade
-          { Ast.deg_target = Ast.D_topo (Ast.Sel_pod idx_e); deg_loss; deg_latency; _ }
-        :: _ -> (
-          let dim = function None -> Some 0 | Some e -> fold_const e in
-          match (fold_const idx_e, dim deg_loss, dim deg_latency) with
-          | Some idx, Some loss, Some latency ->
-              Some (idx, Pod_degrade { loss; latency })
-          | _ -> None)
-      | Ast.A_heal :: _ -> Some (0, Heal)
-      | _ -> None
-    in
-    let fire_of_node node =
-      match node.Ast.n_timer with
-      | None -> None
-      | Some (_, delay_e) ->
-          List.find_map
-            (fun t ->
-              match (t.Ast.guard.Ast.trigger, kind_of_actions t.Ast.actions) with
-              | Some Ast.T_timer, Some (machine, kind) -> (
-                  match fold_const delay_e with
-                  | Some delay -> Some (machine, delay, kind)
-                  | None -> None)
-              | _ -> None)
-            node.Ast.n_transitions
-    in
-    let wait_of_node node =
-      if Option.is_some node.Ast.n_timer then None
-      else
-        List.find_map
-          (fun t ->
-            match (t.Ast.guard.Ast.trigger, t.Ast.guard.Ast.conds, t.Ast.actions) with
-            | Some (Ast.T_recv _), [ (Ast.Ge, _, nth_e) ], actions
-              when List.exists (function Ast.A_goto _ -> true | _ -> false) actions ->
-                Option.map (fun k -> k + 1) (fold_const nth_e)
-            | _ -> None)
-          node.Ast.n_transitions
-    in
-    let is_terminal node =
-      Option.is_none node.Ast.n_timer
-      && List.for_all
-           (fun t ->
-             match t.Ast.guard.Ast.trigger with Some (Ast.T_recv _) -> true | _ -> false)
-           node.Ast.n_transitions
-    in
-    (* A service thaw node: timer whose expiry resumes the service. *)
-    let thaw_of_node node =
-      match node.Ast.n_timer with
-      | None -> None
-      | Some (_, delay_e) ->
-          if
-            List.exists
-              (fun t ->
-                match (t.Ast.guard.Ast.trigger, t.Ast.actions) with
-                | Some Ast.T_timer, Ast.A_continue (Some _) :: _ -> true
-                | _ -> false)
-              node.Ast.n_transitions
-          then fold_const delay_e
-          else None
-    in
-    let* injections =
-      let rec walk pending acc = function
-        | [] -> (
-            match pending with
-            | None -> Ok (List.rev acc)
-            | Some _ -> Error "reload-wait node not followed by a fault node")
-        | node :: rest -> (
-            match fire_of_node node with
-            | Some (machine, delay, kind) -> (
-                let anchor =
-                  match pending with
-                  | Some nth -> On_reload { nth; delay }
-                  | None -> After delay
-                in
-                match kind with
-                | Service_freeze { service; _ } -> (
-                    (* Consume the paired thaw node that follows. *)
-                    match rest with
-                    | next :: rest' -> (
-                        match thaw_of_node next with
-                        | Some thaw ->
-                            walk None
-                              ({ machine; anchor; kind = Service_freeze { service; thaw } }
-                              :: acc)
-                              rest'
-                        | None ->
-                            Error "service stop not followed by a thaw node")
-                    | [] -> Error "service stop not followed by a thaw node")
-                | Kill | Freeze _ | Partition | Degrade _ | Heal | Switch_kill _
-                | Pod_degrade _ | Service_kill _ ->
-                    walk None ({ machine; anchor; kind } :: acc) rest)
-            | None -> (
-                match wait_of_node node with
-                | Some nth ->
-                    if Option.is_some pending then Error "two consecutive reload-wait nodes"
-                    else walk (Some nth) acc rest
-                | None ->
-                    if is_terminal node then walk pending acc rest
-                    else Error (Printf.sprintf "unrecognized coordinator node %s" node.Ast.n_id)))
-      in
-      walk None [] plan.Ast.d_nodes
-    in
-    Ok (group, injections)
-end

@@ -13,76 +13,3 @@ val dump : Compile.plan -> string
     labels carry always/timer declarations, edge labels the guards and
     actions. *)
 val to_dot : Automaton.t -> string
-
-(** Deterministic fault-plan scenarios — the replay format of
-    [lib/explore].
-
-    A plan is a list of injections executed in order by a coordinator
-    daemon [PLAN] (deployed on the FAIL coordinator machine), each
-    aimed at one per-machine controller of the [NODE] group (deployed
-    on machines [0 .. n_machines-1], so respawned ranks on spare hosts
-    stay controllable). Two anchors:
-
-    - [After d]: fire [d] seconds after the previous fault fired (or
-      after scenario start, for the first injection) — timers arm on
-      node entry;
-    - [On_reload { nth; delay }]: wait until the [nth] cumulative
-      process registration reported by the controllers (initial
-      launches count), then fire [delay] seconds later — the Figure 8
-      "synchronize on the recovery wave" idiom.
-
-    [source] pretty-prints via {!Pp}, so the emitted text parses back
-    ({!injections_of_program} is its structural inverse), can be saved
-    as a [.fail] file and replayed with [failmpi_run]. *)
-module Scenario : sig
-  (** Process faults ([Kill], [Freeze]) are delivered as controller
-      messages; network faults compile to the first-class FAIL network
-      actions executed by the coordinator itself. [Partition] isolates
-      the target machine from every other host; [Degrade] worsens all
-      links touching it ([loss] in permille, [latency] in ms); [Heal]
-      clears every installed network fault (its [machine] is canonically
-      0 and otherwise ignored).
-
-      Topology faults reinterpret [machine] as the component index:
-      [Switch_kill] compiles to [partition switch <tier>\[machine\]]
-      (one dead switch, every route through it cut), [Pod_degrade] to
-      [degrade pod machine ...] (the spec lands on all intra-pod
-      links). Both need the run to declare a {!Mpivcl.Config.topology}.
-
-      Service faults target the infrastructure plane by registered name
-      instead of the controller group: [Service_kill] compiles to
-      [halt service ...] executed by the coordinator, [Service_freeze]
-      to a [stop service ...] fire node paired with a thaw node whose
-      timer issues [continue service ...]. For [S_ckpt i] the
-      injection's [machine] is the replica index [i]; for
-      [S_sched]/[S_disp] it is canonically 0 and otherwise ignored. *)
-  type service = S_ckpt of int | S_sched | S_disp
-
-  type kind =
-    | Kill
-    | Freeze of { thaw : int }  (** [stop] then [continue] after [thaw] s *)
-    | Partition
-    | Degrade of { loss : int; latency : int }
-    | Heal
-    | Switch_kill of { tier : Ast.tier }
-    | Pod_degrade of { loss : int; latency : int }
-    | Service_kill of { service : service }
-    | Service_freeze of { service : service; thaw : int }
-
-  type anchor = After of int | On_reload of { nth : int; delay : int }
-
-  type injection = { machine : int; anchor : anchor; kind : kind }
-
-  (** [program ~n_machines injections] builds the scenario AST (already
-      in checked form: no parameters, no bare group destinations). *)
-  val program : n_machines:int -> injection list -> Ast.program
-
-  (** [source ~n_machines injections] is the scenario as FAIL source. *)
-  val source : n_machines:int -> injection list -> string
-
-  (** [injections_of_program p] recovers [(n_machines, injections)] from
-      a (checked) program of the generated shape — including hand-written
-      files like [scenarios/double_strike.fail] after parameter
-      substitution. *)
-  val injections_of_program : Ast.program -> (int * injection list, string) result
-end

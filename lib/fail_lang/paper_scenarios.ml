@@ -169,72 +169,41 @@ G1[%d] : ADV2 on machines 0 .. %d;
     rank start second gap start rank gap second adv2_controller n_machines n_machines
     (n_machines - 1)
 
+(* Explorer-form scenarios: [at machine delay kind] is one fault fired
+   [delay] seconds after the previous one. *)
+let plan ~n_machines faults = Fault_plan.to_scenario { Fault_plan.n_machines; faults }
+let at machine delay kind = { Fault_plan.machine; anchor = Fault_plan.After delay; kind }
+
 let double_strike ~n_machines ~first ~second ~start ~nth ~gap =
-  Codegen.Scenario.source ~n_machines
+  plan ~n_machines
     [
-      { Codegen.Scenario.machine = first; anchor = Codegen.Scenario.After start; kind = Codegen.Scenario.Kill };
-      {
-        Codegen.Scenario.machine = second;
-        anchor = Codegen.Scenario.On_reload { nth; delay = gap };
-        kind = Codegen.Scenario.Kill;
-      };
+      at first start Fault_plan.Kill;
+      { Fault_plan.machine = second; anchor = On_reload { nth; delay = gap }; kind = Kill };
     ]
 
 let partition_wave ~n_machines ~victim ~target ~loss ~latency ~start ~wave ~gap ~heal =
-  Codegen.Scenario.source ~n_machines
+  plan ~n_machines
     [
-      {
-        Codegen.Scenario.machine = victim;
-        anchor = Codegen.Scenario.After start;
-        kind = Codegen.Scenario.Degrade { loss; latency };
-      };
-      { Codegen.Scenario.machine = victim; anchor = Codegen.Scenario.After wave; kind = Codegen.Scenario.Partition };
-      { Codegen.Scenario.machine = target; anchor = Codegen.Scenario.After gap; kind = Codegen.Scenario.Kill };
-      { Codegen.Scenario.machine = 0; anchor = Codegen.Scenario.After heal; kind = Codegen.Scenario.Heal };
+      at victim start (Fault_plan.Degrade { loss; latency });
+      at victim wave Fault_plan.Partition;
+      at target gap Fault_plan.Kill;
+      at 0 heal Fault_plan.Heal;
     ]
 
 let rack_blackout ~n_machines ~switch ~start ~heal =
-  Codegen.Scenario.source ~n_machines
-    [
-      {
-        Codegen.Scenario.machine = switch;
-        anchor = Codegen.Scenario.After start;
-        kind = Codegen.Scenario.Switch_kill { tier = Ast.Tier_agg };
-      };
-      { Codegen.Scenario.machine = 0; anchor = Codegen.Scenario.After heal; kind = Codegen.Scenario.Heal };
-    ]
+  plan ~n_machines
+    [ at switch start (Fault_plan.Switch_kill { tier = Ast.Tier_agg }); at 0 heal Fault_plan.Heal ]
 
 let shrink_storm ~n_machines ~targets ~start ~step ~victim ~lag =
-  Codegen.Scenario.source ~n_machines
-    (List.mapi
-       (fun i m ->
-         {
-           Codegen.Scenario.machine = m;
-           anchor = Codegen.Scenario.After (if i = 0 then start else step);
-           kind = Codegen.Scenario.Kill;
-         })
-       targets
-    @ [
-        {
-          Codegen.Scenario.machine = victim;
-          anchor = Codegen.Scenario.After lag;
-          kind = Codegen.Scenario.Partition;
-        };
-      ])
+  plan ~n_machines
+    (List.mapi (fun i m -> at m (if i = 0 then start else step) Fault_plan.Kill) targets
+    @ [ at victim lag Fault_plan.Partition ])
 
 let ckpt_sniper ~n_machines ~server ~start ~rank ~gap =
-  Codegen.Scenario.source ~n_machines
+  plan ~n_machines
     [
-      {
-        Codegen.Scenario.machine = server;
-        anchor = Codegen.Scenario.After start;
-        kind = Codegen.Scenario.Service_kill { service = Codegen.Scenario.S_ckpt server };
-      };
-      {
-        Codegen.Scenario.machine = rank;
-        anchor = Codegen.Scenario.After gap;
-        kind = Codegen.Scenario.Kill;
-      };
+      at server start (Fault_plan.Service_kill { service = S_ckpt });
+      at rank gap Fault_plan.Kill;
     ]
 
 let all =

@@ -46,7 +46,7 @@ val state_synchronized : n_machines:int -> period:int -> string
 val replica_split :
   n_machines:int -> n_ranks:int -> rank:int -> start:int -> gap:int -> string
 
-(** §6 shape, in the explorer's fault-plan form ({!Codegen.Scenario}):
+(** §6 shape, in the explorer's fault-plan form ({!Fault_plan}):
     kill machine [first] at [start] seconds, then kill machine [second]
     [gap] seconds after the [nth] cumulative daemon registration —
     with [nth] = initial launches + 1, that is [gap] seconds into the
@@ -56,7 +56,7 @@ val double_strike :
   n_machines:int -> first:int -> second:int -> start:int -> nth:int -> gap:int -> string
 
 (** Network fault cascade, in the explorer's fault-plan form
-    ({!Codegen.Scenario}): degrade the [victim] machine's links at
+    ({!Fault_plan}): degrade the [victim] machine's links at
     [start] seconds ([loss] permille message loss, [latency] ms extra
     delay), partition it off [wave] seconds later, kill the process on
     machine [target] [gap] seconds into the outage, then [heal] the
@@ -77,7 +77,7 @@ val partition_wave :
   string
 
 (** Rack blackout, in the explorer's fault-plan form
-    ({!Codegen.Scenario}): kill aggregation switch [switch] of the
+    ({!Fault_plan}): kill aggregation switch [switch] of the
     fabric the run declares ({!Mpivcl.Config.topology}) at [start]
     seconds, then [heal] seconds later restore it. No host is severed —
     aggregation switches carry no hosts — but every host pair routed
@@ -88,7 +88,7 @@ val partition_wave :
 val rack_blackout : n_machines:int -> switch:int -> start:int -> heal:int -> string
 
 (** Shrink storm, in the explorer's fault-plan form
-    ({!Codegen.Scenario}): kill the [targets] machines one by one —
+    ({!Fault_plan}): kill the [targets] machines one by one —
     the first at [start] seconds, each following kill [step] seconds
     after the previous — staggered so they land inside a running
     collective, then partition machine [victim] [lag] seconds after the
@@ -107,7 +107,7 @@ val shrink_storm :
   string
 
 (** Checkpoint sniper, in the explorer's fault-plan form
-    ({!Codegen.Scenario}): kill checkpoint server [server] (a service
+    ({!Fault_plan}): kill checkpoint server [server] (a service
     fault — [halt service ckpt\[server\]]) at [start] seconds, timed to
     land inside a wave's store window so the in-flight image is torn on
     that server's disk, then kill the process on machine [rank] [gap]

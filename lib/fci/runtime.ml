@@ -167,7 +167,7 @@ let resolve_component t inst sel =
 (* ------------------------------------------------------------------ *)
 (* Service faults *)
 
-let service_name t inst = function
+let registered_name t inst = function
   | Automaton.CSvc_ckpt e -> Printf.sprintf "ckpt[%d]" (eval t inst e)
   | Automaton.CSvc_sched -> "sched"
   | Automaton.CSvc_disp -> "disp"
@@ -177,7 +177,7 @@ let service_name t inst = function
    scheduler) degrades to a traced no-op — scenario bugs never crash a
    run. *)
 let exec_service t inst sel op =
-  let name = service_name t inst sel in
+  let name = registered_name t inst sel in
   match (Hashtbl.find_opt t.services name, op) with
   | None, `Kill -> trace t inst "halt-no-service" name
   | None, `Stop -> trace t inst "stop-no-service" name

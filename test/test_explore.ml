@@ -99,8 +99,7 @@ let test_double_strike_file () =
   check plan_testable "generated source" expected (parse_back (Plan.to_scenario expected))
 
 (* Service faults: key shape, key round-trip and scenario round-trip.
-   The ckpt replica index lives in the fault's [machine] and is
-   mirrored into the selector on parse-back. *)
+   The ckpt replica index is the fault's [machine]. *)
 let test_service_plan_roundtrip () =
   let p =
     {
@@ -110,12 +109,12 @@ let test_service_plan_roundtrip () =
           {
             Plan.machine = 0;
             anchor = Plan.After 32;
-            kind = Plan.Service_kill { service = Plan.S_ckpt 0 };
+            kind = Plan.Service_kill { service = Plan.S_ckpt };
           };
           {
             Plan.machine = 2;
             anchor = Plan.After 1;
-            kind = Plan.Service_freeze { service = Plan.S_ckpt 2; thaw = 20 };
+            kind = Plan.Service_freeze { service = Plan.S_ckpt; thaw = 20 };
           };
           {
             Plan.machine = 0;
@@ -132,31 +131,20 @@ let test_service_plan_roundtrip () =
   | Error e -> Alcotest.failf "of_key failed: %s" e);
   check plan_testable "scenario round-trip" p (parse_back (Plan.to_scenario p))
 
-(* [align_service] restores the codegen invariant when machine and kind
-   were drawn independently (the sampler and corpus mutator do this). *)
-let test_align_service () =
-  let f =
-    {
-      Plan.machine = 2;
-      anchor = Plan.After 10;
-      kind = Plan.Service_kill { service = Plan.S_ckpt 0 };
-    }
-  in
-  (match (Plan.align_service f).Plan.kind with
-  | Plan.Service_kill { service = Plan.S_ckpt 2 } -> ()
-  | _ -> Alcotest.fail "ckpt selector not aligned to the fault's machine");
-  let g =
-    {
-      Plan.machine = 5;
-      anchor = Plan.After 10;
-      kind = Plan.Service_freeze { service = Plan.S_sched; thaw = 3 };
-    }
-  in
-  check_int "sched machine pinned to 0" 0 (Plan.align_service g).Plan.machine;
-  let h = { Plan.machine = 4; anchor = Plan.After 7; kind = Plan.Kill } in
+(* [canonical] pins the machine of kinds that ignore it, so equal
+   scenarios get equal keys; every other fault passes unchanged. *)
+let test_canonical () =
+  let at machine kind = { Plan.machine; anchor = Plan.After 10; kind } in
+  let machine f = (Plan.canonical f).Plan.machine in
+  check_int "sched machine pinned to 0" 0
+    (machine (at 5 (Plan.Service_freeze { service = Plan.S_sched; thaw = 3 })));
+  check_int "disp machine pinned to 0" 0 (machine (at 4 (Plan.Service_kill { service = Plan.S_disp })));
+  check_int "heal machine pinned to 0" 0 (machine (at 3 Plan.Heal));
+  check_int "ckpt replica kept" 2 (machine (at 2 (Plan.Service_kill { service = Plan.S_ckpt })));
+  let h = at 4 Plan.Kill in
   check plan_testable "identity on process faults"
     { Plan.n_machines = 8; faults = [ h ] }
-    { Plan.n_machines = 8; faults = [ Plan.align_service h ] }
+    { Plan.n_machines = 8; faults = [ Plan.canonical h ] }
 
 (* The shipped ckpt_sniper.fail, its registered paper-scenario twin and
    a hand-built plan must all denote the same mid-commit strike. *)
@@ -169,7 +157,7 @@ let test_ckpt_sniper_file () =
           {
             Plan.machine = 0;
             anchor = Plan.After 32;
-            kind = Plan.Service_kill { service = Plan.S_ckpt 0 };
+            kind = Plan.Service_kill { service = Plan.S_ckpt };
           };
           { Plan.machine = 3; anchor = Plan.After 6; kind = Plan.Kill };
         ];
@@ -188,6 +176,79 @@ let test_ckpt_sniper_file () =
   in
   check plan_testable "paper scenario" expected (parse_back registered);
   check plan_testable "generated source" expected (parse_back (Plan.to_scenario expected))
+
+(* ------------------------------------------------------------------ *)
+(* Format pins: plan keys, rendered FAIL text and the corpus
+   fingerprint are persisted (corpus files, emitted witnesses), so
+   their bytes must never drift. The plans are built from keys so this
+   block needs no fault constructor. Together they cover all nine
+   kinds, all three services, all three switch tiers and both anchors. *)
+
+let pinned_keys =
+  [
+    "kill@3+12;freeze8@0+5;kill@7@reload5+2";
+    "part@2+7;deg50l2@1+20;heal@0+9";
+    "swedge@0+20;swagg@3+5;swcore@1+5;pdeg300l5@2+10;heal@0+15";
+    "skckpt@0+32;sfckpt20@2+1;sksched@0+5;sfsched20@0+4;skdisp@0+3;sfdisp10@0+2";
+    "freeze30@4@reload10+1;skckpt@1@reload3+4;sfckpt20@1@reload12+6;kill@1+6";
+  ]
+
+let pinned_plans =
+  List.map
+    (fun k ->
+      match Plan.of_key ~n_machines:13 k with
+      | Ok p -> p
+      | Error e -> Alcotest.failf "of_key %S: %s" k e)
+    pinned_keys
+
+let test_pinned_keys () =
+  check (Alcotest.list Alcotest.string) "keys" pinned_keys (List.map Plan.key pinned_plans);
+  List.iter
+    (fun p -> check plan_testable "scenario round-trip" p (parse_back (Plan.to_scenario p)))
+    pinned_plans
+
+let test_pinned_scenarios () =
+  check_str "rendered FAIL text" "afc0cdc9ec312602d032a733c98b61d6"
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map Plan.to_scenario pinned_plans))))
+
+let test_pinned_fingerprint () =
+  let kinds =
+    match
+      Plan.of_key ~n_machines:13
+        "kill@0+1;freeze8@0+1;part@0+1;deg50l2@0+1;heal@0+1;swedge@0+1;swagg@0+1;swcore@0+1;\
+         pdeg300l5@0+1;skckpt@0+1;sfckpt20@0+1;sksched@0+1;sfsched20@0+1;skdisp@0+1;sfdisp10@0+1"
+    with
+    | Ok p -> List.map (fun f -> f.Plan.kind) p.Plan.faults
+    | Error e -> Alcotest.fail e
+  in
+  check_str "fingerprint"
+    "n_machines=13 targets=0,1,2 buckets=25,10,3 \
+     kinds=kill,freeze8,part,deg50l2,heal,swedge,swagg,swcore,pdeg300l5,skckpt,sfckpt20,sksched,\
+     sfsched20,skdisp,sfdisp10 max_faults=3 sample_seed=1"
+    (Explore.Corpus.space_fingerprint
+       {
+         Explore.Corpus.n_machines = 13;
+         targets = [ 0; 1; 2 ];
+         buckets = [ 25; 10; 3 ];
+         kinds;
+         max_faults = 3;
+         sample_seed = 1;
+       })
+
+(* Kill-only search streams (every test campaign and the benchmark's
+   explorer probe) must keep their exact plan lists. *)
+let test_pinned_kill_stream () =
+  let keys cfg = String.concat "\n" (List.map Plan.key (Explore.plans cfg)) in
+  check_str "grid + sampler" "9618c777ad1bb9affb4404291713bf80"
+    (Digest.to_hex
+       (Digest.string
+          (keys
+             {
+               (Explore.default_config ~n_machines:8 ~targets:[ 0; 1; 2; 3 ] ~buckets:[ 12; 3 ])
+               with
+               Explore.max_faults = 4;
+               budget = 120;
+             })))
 
 (* ------------------------------------------------------------------ *)
 (* Shrinker on synthetic oracles *)
@@ -260,6 +321,111 @@ let test_plans_stream () =
     (List.exists (fun p -> List.length p.Plan.faults = 3) sampled);
   check (Alcotest.list plan_testable) "stream is deterministic" sampled
     (Explore.plans { stream_config with Explore.max_faults = 3; budget = 80 })
+
+(* Kinds that ignore their machine are drawn once, not once per target:
+   the single-fault grid never repeats a key. *)
+let test_grid_distinct_keys () =
+  let cfg =
+    {
+      stream_config with
+      Explore.max_faults = 1;
+      kinds =
+        [
+          Plan.Kill;
+          Plan.Heal;
+          Plan.Partition;
+          Plan.Service_kill { service = Plan.S_ckpt };
+          Plan.Service_kill { service = Plan.S_sched };
+          Plan.Service_freeze { service = Plan.S_disp; thaw = 20 };
+        ];
+    }
+  in
+  let keys = List.map Plan.key (Explore.plans cfg) in
+  (* 4 targets x 2 buckets x 3 machine-bound kinds, plus 2 buckets x 3
+     machine-free kinds. *)
+  check_int "deduplicated grid" 30 (List.length keys);
+  check_int "distinct" 30 (List.length (List.sort_uniq String.compare keys));
+  check_str "first occurrence order" "heal@0+12" (List.nth keys 1)
+
+let test_plans_reject_negative () =
+  let rejects name cfg msg =
+    match Explore.plans cfg with
+    | exception Invalid_argument m -> check_str name msg m
+    | _ -> Alcotest.failf "%s accepted" name
+  in
+  rejects "negative thaw"
+    { stream_config with Explore.kinds = [ Plan.Kill; Plan.Freeze { thaw = -4 } ] }
+    "Explore.plans: fault kind freeze-4 has a negative parameter";
+  rejects "negative loss"
+    { stream_config with Explore.kinds = [ Plan.Degrade { loss = -1; latency = 2 } ] }
+    "Explore.plans: fault kind deg-1l2 has a negative parameter";
+  rejects "negative bucket"
+    { stream_config with Explore.buckets = [ 12; -3 ] }
+    "Explore.plans: buckets must be >= 0"
+
+(* ------------------------------------------------------------------ *)
+(* Keys and scenarios over random canonical plans *)
+
+let gen_plan =
+  let open QCheck.Gen in
+  let n = int_bound 40 in
+  let service = oneofl [ Plan.S_ckpt; Plan.S_sched; Plan.S_disp ] in
+  let kind =
+    oneof
+      [
+        return Plan.Kill;
+        map (fun thaw -> Plan.Freeze { thaw }) n;
+        return Plan.Partition;
+        map2 (fun loss latency -> Plan.Degrade { loss; latency }) n n;
+        return Plan.Heal;
+        map
+          (fun tier -> Plan.Switch_kill { tier })
+          (oneofl Fail_lang.Ast.[ Tier_edge; Tier_agg; Tier_core ]);
+        map2 (fun loss latency -> Plan.Pod_degrade { loss; latency }) n n;
+        map (fun service -> Plan.Service_kill { service }) service;
+        map2 (fun service thaw -> Plan.Service_freeze { service; thaw }) service n;
+      ]
+  in
+  let anchor =
+    oneof
+      [
+        map (fun d -> Plan.After d) n;
+        map2 (fun nth delay -> Plan.On_reload { nth; delay }) n n;
+      ]
+  in
+  let fault =
+    map3 (fun machine anchor kind -> Plan.canonical { Plan.machine; anchor; kind }) (int_bound 12) anchor kind
+  in
+  map (fun faults -> { Plan.n_machines = 13; faults }) (list_size (int_range 1 5) fault)
+
+let arb_plan = QCheck.make ~print:Plan.key gen_plan
+
+let prop_key_roundtrip =
+  QCheck.Test.make ~name:"of_key (key p) = Ok p" ~count:300 arb_plan (fun p ->
+      Plan.of_key ~n_machines:13 (Plan.key p) = Ok p)
+
+let prop_scenario_roundtrip =
+  QCheck.Test.make ~name:"of_scenario (to_scenario p) = Ok p" ~count:200 arb_plan (fun p ->
+      Plan.of_scenario (Plan.to_scenario p) = Ok p)
+
+(* Random strings over the key alphabet, plus mutated real keys: never
+   an exception, and whatever parses is canonical. *)
+let prop_of_key_total =
+  let gen =
+    let open QCheck.Gen in
+    oneof
+      [
+        string_size ~gen:(oneofl (List.of_seq (String.to_seq "kilfrezpatdghswcsb@+;-x_0123456789")))
+          (int_bound 24);
+        map2
+          (fun p cut -> let k = Plan.key p in String.sub k 0 (min cut (String.length k)))
+          gen_plan (int_bound 30);
+        string;
+      ]
+  in
+  QCheck.Test.make ~name:"of_key is total" ~count:1000 (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun s ->
+      match Plan.of_key ~n_machines:13 s with Ok p -> Plan.key p = s | Error _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance demo: the seeded dispatcher race *)
@@ -354,8 +520,15 @@ let () =
           Alcotest.test_case "keys" `Quick test_plan_key;
           Alcotest.test_case "double_strike.fail" `Quick test_double_strike_file;
           Alcotest.test_case "service plan round-trip" `Quick test_service_plan_roundtrip;
-          Alcotest.test_case "align_service" `Quick test_align_service;
+          Alcotest.test_case "canonical" `Quick test_canonical;
           Alcotest.test_case "ckpt_sniper.fail" `Quick test_ckpt_sniper_file;
+        ] );
+      ( "formats",
+        [
+          Alcotest.test_case "plan keys" `Quick test_pinned_keys;
+          Alcotest.test_case "rendered scenarios" `Quick test_pinned_scenarios;
+          Alcotest.test_case "corpus fingerprint" `Quick test_pinned_fingerprint;
+          Alcotest.test_case "kill-only stream" `Quick test_pinned_kill_stream;
         ] );
       ( "shrink",
         [
@@ -365,7 +538,15 @@ let () =
           Alcotest.test_case "coarsen" `Quick test_coarsen;
           Alcotest.test_case "coarsen already coarse" `Quick test_coarsen_already_coarse;
         ] );
-      ("stream", [ Alcotest.test_case "plans" `Quick test_plans_stream ]);
+      ( "stream",
+        [
+          Alcotest.test_case "plans" `Quick test_plans_stream;
+          Alcotest.test_case "grid keys distinct" `Quick test_grid_distinct_keys;
+          Alcotest.test_case "negative inputs rejected" `Quick test_plans_reject_negative;
+        ] );
+      ( "plan properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_key_roundtrip; prop_scenario_roundtrip; prop_of_key_total ] );
       ( "acceptance",
         [
           Alcotest.test_case "seeded defect found and shrunk" `Quick test_seeded_defect_found;

@@ -257,7 +257,7 @@ let test_of_key_roundtrip () =
           [
             { Plan.machine = 0; anchor = Plan.After 5; kind = Plan.Freeze { thaw = 8 } };
             { Plan.machine = 2; anchor = Plan.After 7; kind = Plan.Partition };
-            { Plan.machine = 2; anchor = Plan.After 9; kind = Plan.Heal };
+            { Plan.machine = 0; anchor = Plan.After 9; kind = Plan.Heal };
           ];
       };
       {
@@ -281,9 +281,16 @@ let test_of_key_errors () =
   (match Plan.of_key ~n_machines:8 "" with
   | Error e -> check_str "empty" "empty plan key" e
   | Ok _ -> Alcotest.fail "empty key accepted");
-  match Plan.of_key ~n_machines:8 "warp@3+12" with
-  | Error e -> check_str "bad kind" "malformed fault key \"warp@3+12\"" e
-  | Ok _ -> Alcotest.fail "malformed key accepted"
+  (* An unknown kind, then keys that do not print back to themselves:
+     a negative thaw (its scenario would not parse), hex and underscore
+     numerals, a leading zero, and a heal whose ignored machine is not
+     the canonical 0. *)
+  List.iter
+    (fun k ->
+      match Plan.of_key ~n_machines:8 ("kill@1+1;" ^ k) with
+      | Error e -> check_str k (Printf.sprintf "malformed fault key %S" k) e
+      | Ok _ -> Alcotest.failf "malformed key %S accepted" k)
+    [ "warp@3+12"; "freeze-4@1+2"; "kill@0x3+12"; "kill@3_0+1"; "kill@03+1"; "heal@3+9" ]
 
 let () =
   Alcotest.run "explore_fork"

@@ -322,10 +322,10 @@ let test_roundtrip_topo_dests () =
   in
   check_string "compound pod index parenthesized" "partition pod (N + 1)" printed
 
-(* Codegen.Scenario: [injections_of_program] is the inverse of [source]
-   for every fault kind, including the network ones. *)
+(* Fault_plan: [of_scenario] is the inverse of [to_scenario] for every
+   fault kind, including the network, topology and service ones. *)
 let test_scenario_injection_roundtrip () =
-  let open Codegen.Scenario in
+  let open Fault_plan in
   let plans =
     [
       [ { machine = 2; anchor = After 20; kind = Partition } ];
@@ -347,10 +347,10 @@ let test_scenario_injection_roundtrip () =
         { machine = 3; anchor = After 2; kind = Partition };
         { machine = 0; anchor = After 12; kind = Heal };
       ];
-      (* service faults: machine mirrors the ckpt replica index *)
+      (* service faults: machine is the ckpt replica index *)
       [
-        { machine = 0; anchor = After 32; kind = Service_kill { service = S_ckpt 0 } };
-        { machine = 2; anchor = After 1; kind = Service_freeze { service = S_ckpt 2; thaw = 20 } };
+        { machine = 0; anchor = After 32; kind = Service_kill { service = S_ckpt } };
+        { machine = 2; anchor = After 1; kind = Service_freeze { service = S_ckpt; thaw = 20 } };
         { machine = 0; anchor = After 5; kind = Service_kill { service = S_sched } };
         { machine = 0; anchor = After 3; kind = Service_freeze { service = S_disp; thaw = 10 } };
         { machine = 1; anchor = After 6; kind = Kill };
@@ -358,14 +358,13 @@ let test_scenario_injection_roundtrip () =
     ]
   in
   List.iter
-    (fun injections ->
-      let src = source ~n_machines:13 injections in
-      let p = Parser.parse src in
-      match injections_of_program p with
-      | Ok (n_machines, got) ->
-          check_bool "machine count survives round-trip" true (n_machines = 13);
-          check_bool "injections survive round-trip" true (got = injections)
-      | Error e -> Alcotest.failf "injections_of_program failed: %s\n%s" e src)
+    (fun faults ->
+      let src = to_scenario { n_machines = 13; faults } in
+      match of_scenario src with
+      | Ok got ->
+          check_bool "machine count survives round-trip" true (got.n_machines = 13);
+          check_bool "injections survive round-trip" true (got.faults = faults)
+      | Error e -> Alcotest.failf "of_scenario failed: %s\n%s" e src)
     plans
 
 (* Every scenario file we ship must survive parse -> print -> parse.

@@ -173,14 +173,8 @@ let execute ?spares ?net ~scenario seed =
 
 (* One kill at t=20: enough to shrink, deterministic in shape. *)
 let one_kill =
-  Fail_lang.Codegen.Scenario.source ~n_machines:8
-    [
-      {
-        Fail_lang.Codegen.Scenario.machine = 1;
-        anchor = Fail_lang.Codegen.Scenario.After 20;
-        kind = Fail_lang.Codegen.Scenario.Kill;
-      };
-    ]
+  Fail_lang.Fault_plan.(
+    to_scenario { n_machines = 8; faults = [ { machine = 1; anchor = After 20; kind = Kill } ] })
 
 (* Two staggered kills, then a partition during the agreement they
    triggered, under 2% message loss — the adversarial sweep scenario. *)
