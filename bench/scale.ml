@@ -5,9 +5,9 @@
    hosts-vs-wallclock curve 256 -> 8192. Each point must complete with
    every rank's checksum equal to the stencil's reference, or the bench
    refuses to report. Each point reports wall time, wall time per host,
-   the engine's executed events and events per second (from
-   [Engine.stats]), its peak queue length, and the minor and promoted
-   words the run allocated.
+   the engine's executed events and events per second, the processes
+   it spawned and its peak queue length (all from [Engine.stats]), and
+   the minor and promoted words the run allocated.
 
    Usage: scale.exe [OUT.json [MAX_HOSTS]] — CI passes a small
    MAX_HOSTS to bound the smoke run; the full curve is the default. *)
@@ -121,14 +121,14 @@ let () =
         (Printf.sprintf
            "    { \"hosts\": %d, \"ranks\": %d, \"sim_time_s\": %.1f,\n\
            \      \"wall_ms\": %.1f, \"wall_ms_per_host\": %.3f,\n\
-           \      \"events\": %d, \"events_per_s\": %.0f, \"peak_queue\": %d,\n\
-           \      \"minor_mwords\": %.1f, \"promoted_mwords\": %.1f,\n\
+           \      \"events\": %d, \"events_per_s\": %.0f, \"processes\": %d,\n\
+           \      \"peak_queue\": %d, \"minor_mwords\": %.1f, \"promoted_mwords\": %.1f,\n\
            \      \"checksums_ok\": true }%s\n"
            hosts p.n_ranks sim_time p.wall_ms
            (p.wall_ms /. float_of_int hosts)
            events
            (float_of_int events /. (p.wall_ms /. 1e3))
-           p.stats.Simkern.Engine.peak_queue (p.minor_words /. 1e6)
+           p.stats.Simkern.Engine.spawned p.stats.Simkern.Engine.peak_queue (p.minor_words /. 1e6)
            (p.promoted_words /. 1e6)
            (if i = List.length curve - 1 then "" else ",")))
     curve;

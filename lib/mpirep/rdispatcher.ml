@@ -287,6 +287,7 @@ let spawn (env : Renv.t) ~host ~host_of ~spare_hosts =
     (Cluster.spawn_on cluster ~host ~name:"rdispatcher" (fun () ->
          let listener = Net.listen env.Renv.net ~host ~port:Config.dispatcher_port in
          Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
+         (* Readers are processes, not [Net.forward]: [halt] must stop them. *)
          ignore
            (Cluster.spawn_on cluster ~host ~name:"rdispatcher-accept" (fun () ->
                 let rec accept_loop () =

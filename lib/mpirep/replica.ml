@@ -19,18 +19,6 @@ type dev =
   | D_state_req of Rmsg.t Net.conn
   | D_app of app_request
 
-let pump cluster ~host ~name conn wrap events =
-  ignore
-    (Cluster.spawn_on cluster ~host ~name (fun () ->
-         let rec run () =
-           match Net.recv conn with
-           | Net.Data m ->
-               Mailbox.send events (wrap (Some m));
-               run ()
-           | Net.Closed -> Mailbox.send events (wrap None)
-         in
-         run ()))
-
 let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
   let eng = env.Renv.eng in
   let cluster = env.Renv.cluster in
@@ -104,7 +92,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
                        accept_loop ()
                  in
                  accept_loop ()));
-          pump cluster ~host ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m) events;
+          Net.forward dconn (fun m -> Mailbox.send events (D_ctrl m));
           (* A fresh replica reports Ready now and waits for the all-ready
              Start; a respawned one gets its Start (with a donor)
              immediately after Hello and reports Ready only once the
@@ -250,9 +238,7 @@ let spawn (env : Renv.t) ~rank ~slot ~host ~incarnation ~resume =
           in
           let register_peer pr ps conn =
             Hashtbl.replace peer_conns (pr, ps) conn;
-            pump cluster ~host ~name:(Printf.sprintf "%s-peer%d.%d" name pr ps) conn
-              (fun m -> D_peer ((pr, ps), m))
-              events
+            Net.forward conn (fun m -> Mailbox.send events (D_peer ((pr, ps), m)))
           in
           let connect_peer pr ps phost =
             if not (Hashtbl.mem peer_conns (pr, ps)) then

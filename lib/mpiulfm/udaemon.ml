@@ -71,7 +71,7 @@ let spawn (env : Uenv.t) ~id ~incarnation =
 
       (* every helper process we spawn (accept loop, pumps) and every
          hosted application rank; the FCI kill/freeze closures and the
-         fence path act on all of them *)
+         fence path act on all of them (so pumps are not [Net.forward]) *)
       let aux_procs : Proc.t list ref = ref [] in
       let app_procs : (int, Proc.t) Hashtbl.t = Hashtbl.create 8 in
 

@@ -192,6 +192,7 @@ let spawn (env : Uenv.t) ~host =
     (Cluster.spawn_on cluster ~host ~name:"udispatcher" (fun () ->
          let listener = Net.listen env.Uenv.net ~host ~port:Config.dispatcher_port in
          Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
+         (* Readers are processes, not [Net.forward]: [halt] must stop them. *)
          ignore
            (Cluster.spawn_on cluster ~host ~name:"udispatcher-accept" (fun () ->
                 let rec accept_loop () =

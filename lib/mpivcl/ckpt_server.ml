@@ -296,6 +296,7 @@ let rec start t ~first =
               match Simnet.Net.accept listener with
               | None -> ()
               | Some conn ->
+                  (* A process, so [inject_kill] and [freeze] reach it. *)
                   ignore
                     (Cluster.spawn_on t.cluster ~host:t.host ~name:"ckpt-server-conn" (fun () ->
                          handle_conn t jobs conn));

@@ -275,7 +275,8 @@ let spawn (env : Env.t) ~host ~initial_hosts ~spare_limit =
          let listener = Net.listen env.Env.net ~host ~port:Config.dispatcher_port in
          Fun.protect ~finally:(fun () -> Net.close_listener listener) @@ fun () ->
          (* Accept daemon connections; each starts with Hello and is then
-            pumped into the event mailbox tagged by (rank, incarnation). *)
+            pumped into the event mailbox tagged by (rank, incarnation),
+            by a process so that a [disp] kill or freeze stops it. *)
          ignore
            (Cluster.spawn_on cluster ~host ~name:"dispatcher-accept" (fun () ->
                 let rec accept_loop () =

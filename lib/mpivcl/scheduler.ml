@@ -84,6 +84,7 @@ let spawn eng cluster net ~host ~n_ranks ~wave_interval ?(store_ack_timeout = 20
                    | Error `Refused -> None)
                  server_hosts
              in
+             (* Handlers are processes: a [sched] kill or freeze reaches them. *)
              ignore
                (Cluster.spawn_on cluster ~host ~name:"ckpt-scheduler-accept" (fun () ->
                     let rec accept_loop () =

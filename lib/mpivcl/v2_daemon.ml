@@ -17,18 +17,6 @@ type dev =
   | D_app of app_request
   | D_ckpt_tick of int  (* generation, to ignore stale timers *)
 
-let pump cluster ~host ~name conn wrap events =
-  ignore
-    (Cluster.spawn_on cluster ~host ~name (fun () ->
-         let rec run () =
-           match Net.recv conn with
-           | Net.Data m ->
-               Mailbox.send events (wrap (Some m));
-               run ()
-           | Net.Closed -> Mailbox.send events (wrap None)
-         in
-         run ()))
-
 let spawn (env : Env.t) ~rank ~host ~incarnation =
   let eng = env.Env.eng in
   let cluster = env.Env.cluster in
@@ -173,7 +161,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                  Net.connect env.Env.net ~host ~to_host:server_host ~to_port:Config.server_port
                with
               | Ok c ->
-                  pump cluster ~host ~name:(name ^ "-server") c (fun m -> D_server m) events;
+                  Net.forward c (fun m -> Mailbox.send events (D_server m));
                   Some c
               | Error `Refused -> None)
           in
@@ -198,15 +186,13 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                           trace "server-reconnect"
                             (Printf.sprintf "storage host %d%s" to_host
                                (if to_host = server_host then "" else " (mirror)"));
-                          pump cluster ~host ~name:(name ^ "-server") c
-                            (fun m -> D_server m)
-                            events;
+                          Net.forward c (fun m -> Mailbox.send events (D_server m));
                           server_conn := Some c
                       | Error `Refused -> ())
                   candidates);
             !server_conn
           in
-          pump cluster ~host ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m) events;
+          Net.forward dconn (fun m -> Mailbox.send events (D_ctrl m));
           ignore (Net.send dconn (Message.Ready { rank }));
 
           (* ---------------- protocol state ---------------- *)
@@ -259,9 +245,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                ssns stay contiguous on a single FIFO channel. *)
             if not (lazy_mesh && Hashtbl.mem peer_conns peer) then
               Hashtbl.replace peer_conns peer conn;
-            pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name peer) conn
-              (fun m -> D_peer (peer, m))
-              events;
+            Net.forward conn (fun m -> Mailbox.send events (D_peer (peer, m)));
             if IntSet.mem peer !resend_pending then begin
               resend_pending := IntSet.remove peer !resend_pending;
               ignore (Net.send conn (Message.Resend { rank; consumed = consumed_bounds () }))

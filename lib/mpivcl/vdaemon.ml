@@ -29,18 +29,6 @@ type ckpt = {
   ck_seen : (int * int) list;
 }
 
-let pump cluster ~host ~name conn wrap events =
-  ignore
-    (Cluster.spawn_on cluster ~host ~name (fun () ->
-         let rec run () =
-           match Net.recv conn with
-           | Net.Data m ->
-               Mailbox.send events (wrap (Some m));
-               run ()
-           | Net.Closed -> Mailbox.send events (wrap None)
-         in
-         run ()))
-
 let spawn (env : Env.t) ~rank ~host ~incarnation =
   let eng = env.Env.eng in
   let cluster = env.Env.cluster in
@@ -197,7 +185,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             with
             | Ok c ->
                 ignore (Net.send c (Message.Sched_hello { rank }));
-                pump cluster ~host ~name:(name ^ "-sched") c (fun m -> D_sched m) events;
+                Net.forward c (fun m -> Mailbox.send events (D_sched m));
                 Some c
             | Error `Refused -> None
           in
@@ -207,7 +195,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                  Net.connect env.Env.net ~host ~to_host:server_host ~to_port:Config.server_port
                with
               | Ok c ->
-                  pump cluster ~host ~name:(name ^ "-server") c (fun m -> D_server m) events;
+                  Net.forward c (fun m -> Mailbox.send events (D_server m));
                   Some c
               | Error `Refused -> None)
           in
@@ -234,15 +222,13 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                           trace "server-reconnect"
                             (Printf.sprintf "storage host %d%s" to_host
                                (if to_host = server_host then "" else " (mirror)"));
-                          pump cluster ~host ~name:(name ^ "-server") c
-                            (fun m -> D_server m)
-                            events;
+                          Net.forward c (fun m -> Mailbox.send events (D_server m));
                           server_conn := Some c
                       | Error `Refused -> ())
                   candidates);
             !server_conn
           in
-          pump cluster ~host ~name:(name ^ "-ctrl") dconn (fun m -> D_ctrl m) events;
+          Net.forward dconn (fun m -> Mailbox.send events (D_ctrl m));
           ignore (Net.send dconn (Message.Ready { rank }));
 
           (* ---------------- protocol state ---------------- *)
@@ -295,9 +281,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
             | Ok conn ->
                 ignore (Net.send conn (Message.Peer_hello { rank }));
                 Hashtbl.replace peer_conns dst conn;
-                pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name dst) conn
-                  (fun m -> D_peer (dst, m))
-                  events;
+                Net.forward conn (fun m -> Mailbox.send events (D_peer (dst, m)));
                 (match !ckpt with
                 | Some c when not c.ck_stored ->
                     ignore (Net.send conn (Message.Marker { wave = c.ck_wave }));
@@ -502,9 +486,7 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                 | Ok conn ->
                     ignore (Net.send conn (Message.Peer_hello { rank }));
                     Hashtbl.replace peer_conns peer conn;
-                    pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name peer) conn
-                      (fun m -> D_peer (peer, m))
-                      events
+                    Net.forward conn (fun m -> Mailbox.send events (D_peer (peer, m)))
                 | Error `Refused ->
                     trace ~level:Trace.Full "peer-connect-failed" (string_of_int peer)
               done;
@@ -547,12 +529,10 @@ let spawn (env : Env.t) ~rank ~host ~incarnation =
                    keeps the first connection it obtained for its sends,
                    so every direction stays FIFO on a single channel
                    (markers order correctly against app messages). The
-                   second connection is still pumped for receives. *)
+                   second connection is still forwarded for receives. *)
                 let fresh = not (Hashtbl.mem peer_conns peer) in
                 if fresh || not lazy_mesh then Hashtbl.replace peer_conns peer conn;
-                pump cluster ~host ~name:(Printf.sprintf "%s-peer%d" name peer) conn
-                  (fun m -> D_peer (peer, m))
-                  events;
+                Net.forward conn (fun m -> Mailbox.send events (D_peer (peer, m)));
                 (* A wave may already be in progress: this channel's marker
                    is still expected through the new connection. With a
                    lazy mesh the cut did not count unconnected peers, so a

@@ -13,6 +13,7 @@ and stats = {
   mutable peak_queue : int;
   mutable cancels : int;
   mutable compactions : int;
+  mutable spawned : int;
 }
 
 (* Events live in one of two places.
@@ -76,7 +77,7 @@ let create ?(seed = 1L) ?trace_level () =
       idle;
       live = 0;
       tombstones = 0;
-      stats = { executed = 0; peak_queue = 0; cancels = 0; compactions = 0 };
+      stats = { executed = 0; peak_queue = 0; cancels = 0; compactions = 0; spawned = 0 };
       rng;
       trace;
     }
@@ -100,6 +101,7 @@ let record_fmt ?level t ~source ~event fmt =
 let fresh_pid t =
   let pid = t.next_pid in
   t.next_pid <- t.next_pid + 1;
+  t.stats.spawned <- t.stats.spawned + 1;
   pid
 
 (* ------------------------------------------------------------------ *)

@@ -111,6 +111,7 @@ type stats = private {
   mutable peak_queue : int;  (** largest {!queue_size} reached *)
   mutable cancels : int;  (** pending events {!cancel}led *)
   mutable compactions : int;  (** tombstone compactions *)
+  mutable spawned : int;  (** pids handed out by {!fresh_pid}: processes spawned *)
 }
 
 (** [stats t] is [t]'s counter record, the same one on every call. *)

@@ -27,22 +27,7 @@ let recv mb =
 let recv_timeout mb ~timeout =
   match Queue.take_opt mb.messages with
   | Some v -> Some v
-  | None ->
-      let eng = Proc.engine (Proc.self ()) in
-      Proc.suspend (fun waker ->
-          (* Cancel the timer once a message wins, so satisfied timeouts
-             become heap tombstones (compacted) instead of live no-op
-             events that keep the queue busy until they fire. *)
-          let timer = ref None in
-          mb.waiters <-
-            mb.waiters
-            @ [
-                (fun v ->
-                  let woke = waker (Some v) in
-                  if woke then Option.iter Engine.cancel !timer;
-                  woke);
-              ];
-          timer := Some (Engine.schedule eng ~delay:timeout (fun () -> ignore (waker None))))
+  | None -> Proc.suspend_timeout ~timeout (fun waker -> mb.waiters <- mb.waiters @ [ waker ])
 
 let length mb = Queue.length mb.messages
 

@@ -29,6 +29,7 @@ type t = {
 }
 
 type _ Effect.t += Suspend : (('a -> bool) -> unit) -> 'a Effect.t
+type _ Effect.t += Suspend_timeout : float * (('a -> bool) -> unit) -> 'a option Effect.t
 type _ Effect.t += Sleep : float -> unit Effect.t
 type _ Effect.t += Self : t Effect.t
 
@@ -116,6 +117,21 @@ let handler p =
                 else
                   let epoch = park p k in
                   register (fun v -> wake p epoch k v))
+        | Suspend_timeout (timeout, register) ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                if p.doomed then discontinue k Killed
+                else
+                  let epoch = park p k in
+                  (* A winning value cancels the timer: a tombstone, not a live no-op. *)
+                  let timer =
+                    Engine.schedule p.engine ~delay:timeout (fun () ->
+                        ignore (wake p epoch k None))
+                  in
+                  register (fun v ->
+                      let woke = wake p epoch k (Some v) in
+                      if woke then Engine.cancel timer;
+                      woke))
         | Sleep dt ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -203,6 +219,10 @@ let on_exit p hook =
 let self () = Effect.perform Self
 
 let suspend register = Effect.perform (Suspend register)
+
+let suspend_timeout ~timeout register =
+  if timeout < 0.0 then invalid_arg "Proc.suspend_timeout: negative timeout";
+  Effect.perform (Suspend_timeout (timeout, register))
 
 let sleep dt =
   if dt < 0.0 then invalid_arg "Proc.sleep: negative duration";

@@ -90,6 +90,13 @@ val yield : unit -> unit
     occurs. *)
 val suspend : (('a -> bool) -> unit) -> 'a
 
+(** [suspend_timeout ~timeout register] is {!suspend} with an expiry:
+    [Some v] once the waker accepts [v], [None] if [timeout] simulated
+    seconds pass first. The expiry is one event scheduled when the
+    process suspends (before [register] runs) and cancelled when a value
+    wins. Raises [Invalid_argument] on a negative [timeout]. *)
+val suspend_timeout : timeout:float -> (('a -> bool) -> unit) -> 'a option
+
 (** [join p] blocks until [p] exits and returns its exit reason. Returns
     immediately if [p] already exited. *)
 val join : t -> exit_reason

@@ -844,22 +844,32 @@ let recv conn =
       if conn.c_closed_remote || conn.c_closed_local then Closed
       else Proc.suspend (fun waker -> conn.c_waiters <- conn.c_waiters @ [ waker ])
 
+(* [drain] is a reader process's loop body and [wake] schedules the event
+   its resumption would be, so the events are exactly a reader's. *)
+let forward conn f =
+  let eng = conn.c_net.eng in
+  let rec drain () =
+    match Queue.take_opt conn.c_inbox with
+    | Some item -> take item
+    | None ->
+        if conn.c_closed_remote || conn.c_closed_local then f None
+        else conn.c_waiters <- conn.c_waiters @ [ wake ]
+  and take = function
+    | Data m ->
+        f (Some m);
+        drain ()
+    | Closed -> f None
+  and wake item =
+    Engine.schedule eng (fun () -> take item) |> ignore;
+    true
+  in
+  Engine.schedule eng drain |> ignore
+
 let recv_timeout conn ~timeout =
   match Queue.take_opt conn.c_inbox with
   | Some item -> Some item
   | None ->
       if conn.c_closed_remote || conn.c_closed_local then Some Closed
       else
-        let eng = conn.c_net.eng in
-        Proc.suspend (fun waker ->
-            (* Cancel the timer once data wins; see Mailbox.recv_timeout. *)
-            let timer = ref None in
-            conn.c_waiters <-
-              conn.c_waiters
-              @ [
-                  (fun item ->
-                    let woke = waker (Some item) in
-                    if woke then Option.iter Engine.cancel !timer;
-                    woke);
-                ];
-            timer := Some (Engine.schedule eng ~delay:timeout (fun () -> ignore (waker None))))
+        Proc.suspend_timeout ~timeout (fun waker ->
+            conn.c_waiters <- conn.c_waiters @ [ waker ])

@@ -256,6 +256,17 @@ val recv : 'a conn -> 'a recv_result
     timeout. *)
 val recv_timeout : 'a conn -> timeout:float -> 'a recv_result option
 
+(** [forward conn f] hands what arrives on [conn] to [f] without a
+    reader process: [f (Some m)] per data item in FIFO order, then
+    [f None] once the connection closes, locally or remotely. [f] runs
+    in scheduler context and must not block. Its events are exactly
+    those of a process looping on {!recv} (one now that drains the
+    queue, one per wake-up), so execution order is the same. Not being a
+    process, a forwarder is out of reach of [Proc.kill], [Proc.freeze]
+    and [Cluster.kill_all]: a reader such a fault must stop (a service
+    host's connection handlers, the ulfm daemon's pumps) stays one. *)
+val forward : 'a conn -> ('a option -> unit) -> unit
+
 (** [close conn] closes the local endpoint; the peer observes [Closed]
     after the propagation delay. Idempotent. *)
 val close : 'a conn -> unit

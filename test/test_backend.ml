@@ -342,10 +342,10 @@ let test_golden_sharded name protocol cases () =
    golden run executes, per backend. Trimming closures in Proc/Net must
    not silently add or drop simulation events; a change that does so on
    purpose re-pins these counts and says why. *)
-let executed_events spec =
+let engine_stats spec =
   let cp = Failmpi.Run.prepare spec in
   ignore (Failmpi.Run.resume_from cp);
-  (Simkern.Engine.stats (Failmpi.Run.checkpoint_engine cp)).Simkern.Engine.executed
+  Simkern.Engine.stats (Failmpi.Run.checkpoint_engine cp)
 
 let ulfm_golden_spec () =
   let protocol = Mpivcl.Config.Ulfm { spares = 1 } in
@@ -356,6 +356,11 @@ let ulfm_golden_spec () =
    default layout and at 5 regions alike. *)
 let event_counts =
   [ ("vcl", 7973); ("blocking", 7981); ("v2", 6949); ("replication", 14648); ("ulfm", 7217) ]
+
+(* Processes the same runs spawn ([Engine.stats.spawned]), so a reader
+   cannot silently become a process again. Only ulfm's daemon reads its
+   sockets with processes, because a freeze must reach them. *)
+let spawn_counts = [ ("vcl", 138); ("blocking", 138); ("v2", 54); ("replication", 49); ("ulfm", 60) ]
 
 (* ULFM's pinned goldens live in test_mpiulfm (its outcomes are Degraded
    shapes, not the table above); here its faulty seed-1 shrink run is
@@ -368,14 +373,19 @@ let test_ulfm_sharded_equivalence () =
       ranks_adopted=1,spares_promoted=0")
     (run_fingerprint (Failmpi.Run.execute (ulfm_golden_spec ())))
 
+let golden_seed1_spec name =
+  if name = "ulfm" then ulfm_golden_spec ()
+  else
+    let _, protocol, cases = List.find (fun (n, _, _) -> n = name) goldens in
+    golden_case_spec ~protocol (List.hd cases)
+
 let test_executed_events name expected () =
-  let spec =
-    if name = "ulfm" then ulfm_golden_spec ()
-    else
-      let _, protocol, cases = List.find (fun (n, _, _) -> n = name) goldens in
-      golden_case_spec ~protocol (List.hd cases)
-  in
-  check_int (name ^ " seed 1: executed events") expected (executed_events spec)
+  check_int (name ^ " seed 1: executed events") expected
+    (engine_stats (golden_seed1_spec name)).Simkern.Engine.executed
+
+let test_spawned name expected () =
+  check_int (name ^ " seed 1: spawned processes") expected
+    (engine_stats (golden_seed1_spec name)).Simkern.Engine.spawned
 
 let test_metrics_not_cross_wired () =
   (* The pre-refactor Run.execute hard-coded the counters of the other
@@ -433,4 +443,8 @@ let () =
           (fun (name, expected) ->
             Alcotest.test_case name `Quick (test_executed_events name expected))
           event_counts );
+      ( "engine-spawns",
+        List.map
+          (fun (name, expected) -> Alcotest.test_case name `Quick (test_spawned name expected))
+          spawn_counts );
     ]

@@ -862,6 +862,22 @@ let test_mailbox_timeout_delivers () =
                 Mailbox.send mb 99))));
   check_bool "delivered" true (!got = Some 99)
 
+let test_mailbox_timeout_cancelled () =
+  (* A message that wins cancels the expiry instead of leaving a live
+     no-op event: the clock stops at the delivery, not at the timeout. *)
+  let eng = Engine.create () in
+  let mb = Mailbox.create () in
+  let got = ref None in
+  ignore (Proc.spawn eng (fun () -> got := Mailbox.recv_timeout mb ~timeout:3.0));
+  ignore (Engine.schedule eng ~delay:1.0 (fun () -> Mailbox.send mb 5));
+  ignore (Engine.run eng);
+  check_bool "delivered" true (!got = Some 5);
+  check_int "timer cancelled" 1 (Engine.stats eng).Engine.cancels;
+  check_float "clock stops at delivery" 1.0 (Engine.now eng);
+  Alcotest.check_raises "negative timeout"
+    (Invalid_argument "Proc.suspend_timeout: negative timeout") (fun () ->
+      ignore (Proc.suspend_timeout ~timeout:(-1.0) (fun (_ : int -> bool) -> ())))
+
 let test_mailbox_killed_waiter_not_lost () =
   (* If a waiter dies, a message sent afterwards must go to the next
      waiter, not vanish. *)
@@ -1407,6 +1423,7 @@ let () =
           Alcotest.test_case "blocking" `Quick test_mailbox_blocking;
           Alcotest.test_case "timeout expires" `Quick test_mailbox_timeout_expires;
           Alcotest.test_case "timeout delivers" `Quick test_mailbox_timeout_delivers;
+          Alcotest.test_case "timeout cancelled on delivery" `Quick test_mailbox_timeout_cancelled;
           Alcotest.test_case "killed waiter not lost" `Quick test_mailbox_killed_waiter_not_lost;
           Alcotest.test_case "two consumers" `Quick test_mailbox_two_consumers;
         ] );

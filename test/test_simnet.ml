@@ -196,6 +196,140 @@ let test_listener_close_frees_port () =
       ignore (Net.listen net ~host:3 ~port:80))
 
 (* ------------------------------------------------------------------ *)
+(* Net.forward runs exactly the events of a reader process *)
+
+(* The reader process [Net.forward] replaces: one per connection, looping
+   on [Net.recv] and handing each item on. *)
+let reference_pump eng conn f =
+  ignore
+    (Proc.spawn eng ~name:"pump" (fun () ->
+         let rec run () =
+           match Net.recv conn with
+           | Net.Data m ->
+               f (Some m);
+               run ()
+           | Net.Closed -> f None
+         in
+         run ()))
+
+(* One script, read through [attach]. Returns what entered the shared
+   mailbox and what its consumer took out, each as
+   (time, executed-event index, item). The script covers: data queued
+   before the reader's first event (a); same-instant arrivals on a, b
+   and c, where c is read by a plain process writing to the same
+   mailbox; a remote close after data (a); a local close while the
+   reader waits (b); a close arriving while a forwarding event is
+   still pending (d). *)
+let forward_script attach =
+  let eng = Engine.create () in
+  let net = Net.create eng () in
+  let box = Mailbox.create () in
+  let stamp item = (Engine.now eng, (Engine.stats eng).Engine.executed, item) in
+  let sent = ref [] and taken = ref [] in
+  let put item =
+    sent := stamp item :: !sent;
+    Mailbox.send box item
+  in
+  let sink name = function
+    | Some m -> put (Printf.sprintf "%s:%d" name m)
+    | None -> put (name ^ ":closed")
+  in
+  let at t = Proc.sleep (t -. Engine.now eng) in
+  ignore
+    (Proc.spawn eng ~name:"consumer" (fun () ->
+         let rec loop () =
+           taken := stamp (Mailbox.recv box) :: !taken;
+           loop ()
+         in
+         loop ()));
+  ignore
+    (Proc.spawn eng ~name:"receiver" (fun () ->
+         let l = Net.listen net ~host:1 ~port:80 in
+         let next () =
+           match Net.accept l with Some c -> c | None -> Alcotest.fail "listener closed"
+         in
+         let a = next () in
+         let b = next () in
+         let c = next () in
+         let d = next () in
+         at 1.0;
+         attach eng a (sink "a");
+         attach eng b (sink "b");
+         attach eng d (sink "d");
+         ignore
+           (Proc.spawn eng ~name:"relay" (fun () ->
+                let rec loop () =
+                  match Net.recv c with
+                  | Net.Data m ->
+                      put (Printf.sprintf "c:%d" m);
+                      loop ()
+                  | Net.Closed -> ()
+                in
+                loop ()));
+         at 4.0;
+         Net.close b;
+         at 10.0));
+  ignore
+    (Proc.spawn eng ~name:"sender" (fun () ->
+         let open_conn () =
+           match Net.connect net ~host:0 ~to_host:1 ~to_port:80 with
+           | Ok conn -> conn
+           | Error `Refused -> Alcotest.fail "refused"
+         in
+         let a = open_conn () in
+         let b = open_conn () in
+         let c = open_conn () in
+         let d = open_conn () in
+         let send conn v = ignore (Net.send conn v) in
+         send a 1;
+         send a 2;
+         at 2.0;
+         send a 10;
+         send b 20;
+         send c 30;
+         send c 31;
+         send a 11;
+         at 3.0;
+         send a 40;
+         at 3.5;
+         Net.close a;
+         at 5.0;
+         send d 50;
+         Net.close d;
+         Net.close c;
+         at 10.0));
+  ignore (Engine.run ~until:100.0 eng);
+  (List.rev !sent, List.rev !taken)
+
+let test_forward_matches_pump () =
+  let stamped = Alcotest.(list (triple (float 0.0) int string)) in
+  let pump_sent, pump_taken = forward_script reference_pump in
+  let fwd_sent, fwd_taken = forward_script (fun _eng conn f -> Net.forward conn f) in
+  check stamped "mailbox input" pump_sent fwd_sent;
+  check stamped "consumer output" pump_taken fwd_taken;
+  (* The script reaches every case it is meant to. *)
+  let items_of prefix =
+    List.filter_map
+      (fun (_, _, item) ->
+        if String.starts_with ~prefix item then Some item else None)
+      fwd_sent
+  in
+  check Alcotest.(list string) "a" [ "a:1"; "a:2"; "a:10"; "a:11"; "a:40"; "a:closed" ]
+    (items_of "a:");
+  check Alcotest.(list string) "b" [ "b:20"; "b:closed" ] (items_of "b:");
+  check Alcotest.(list string) "c" [ "c:30"; "c:31" ] (items_of "c:");
+  check Alcotest.(list string) "d" [ "d:50"; "d:closed" ] (items_of "d:");
+  let find item = List.find (fun (_, _, i) -> i = item) fwd_sent in
+  let time (t, _, _) = t and event (_, e, _) = e in
+  check_bool "queued data drained by the first event" true
+    (event (find "a:1") = event (find "a:2") && time (find "a:1") >= 1.0);
+  check_bool "same-instant arrivals" true
+    (time (find "a:10") = time (find "b:20") && time (find "b:20") = time (find "c:30"));
+  check_bool "local close while waiting" true (time (find "b:closed") = 4.0);
+  check_bool "close while forwarding pending" true
+    (event (find "d:50") = event (find "d:closed"))
+
+(* ------------------------------------------------------------------ *)
 (* Cluster (simos) *)
 
 let test_cluster_tasks () =
@@ -357,6 +491,7 @@ let () =
           Alcotest.test_case "recv timeout" `Quick test_recv_timeout;
           Alcotest.test_case "double bind rejected" `Quick test_double_bind_rejected;
           Alcotest.test_case "listener close frees port" `Quick test_listener_close_frees_port;
+          Alcotest.test_case "forward matches pump" `Quick test_forward_matches_pump;
         ] );
       ( "cluster",
         [
